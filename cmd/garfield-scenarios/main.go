@@ -363,8 +363,8 @@ func runSim(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("garfield-scenarios sim", flag.ContinueOnError)
 	n := fs.Int("n", 5000, "total simulated workers")
 	fw := fs.Int("fw", 500, "Byzantine (reversed) workers among them")
-	replicas := fs.Int("replicas", 20, "server replicas (msmw topology)")
-	topology := fs.String("topology", "msmw", "topology: vanilla, ssmw, aggregathor, msmw")
+	replicas := fs.Int("replicas", 20, "server replicas (crash-tolerant and msmw topologies)")
+	topology := fs.String("topology", "msmw", "topology: vanilla, ssmw, aggregathor, crash-tolerant, msmw, decentralized")
 	rule := fs.String("rule", "median", "gradient GAR")
 	iters := fs.Int("iters", 10, "training iterations")
 	latency := fs.Float64("latency-ms", 1.0, "base one-way link latency (virtual ms)")
@@ -405,8 +405,13 @@ func runSim(args []string, out io.Writer) error {
 	if *fw > 0 {
 		sp.WorkerAttack = scenario.AttackSpec{Name: "reversed"}
 	}
-	if *topology == scenario.TopoMSMW {
+	switch *topology {
+	case scenario.TopoCrashTolerant:
 		sp.NPS = *replicas
+	case scenario.TopoMSMW:
+		sp.NPS = *replicas
+		sp.SyncQuorum = true
+	case scenario.TopoDecentralized:
 		sp.SyncQuorum = true
 	}
 	if *async {

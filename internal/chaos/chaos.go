@@ -8,8 +8,9 @@
 //     honest replicas' model stays bounded — and the same adversary against
 //     a non-robust contraction (model_rule=average) visibly diverges, so
 //     the bound is evidence of the defense, not of a weak adversary;
-//   - liveness: training survives the fault window, and after a heal the
-//     steps/sec recovers to at least RecoveryRatio of the pre-fault rate;
+//   - liveness: training survives the fault window, and after the heal (or
+//     the last membership transition) every scheduled round commits an
+//     update again — counted in rounds, never in wall-clock rates;
 //   - determinism: two runs at the same seed emit bit-identical metrics
 //     CSV, making every chaos finding replayable from (preset, seed);
 //   - corruption-rejected: payloads mangled by a corrupt link are rejected
@@ -44,10 +45,6 @@ const (
 	// norm must be before we call the adversary "defended against" rather
 	// than "harmless".
 	ContrastRatio = 2.0
-	// RecoveryRatio is the minimum post-heal / pre-fault steps-per-second
-	// ratio of the liveness invariant. The churn-liveness invariant reuses
-	// it for the post-stabilization / pre-churn ratio.
-	RecoveryRatio = 0.8
 	// JoinSpreadBound is the largest L2 distance a just-bootstrapped
 	// replica may end from the rest of the honest fleet for the
 	// join-converges invariant to hold (the model contraction should pull
@@ -156,20 +153,7 @@ func Run(preset string, opt Options) (*Report, error) {
 		case "safety":
 			c = checkSafety(sp, run)
 		case "liveness":
-			c = checkLiveness(sp, run)
-			// The liveness invariant compares wall-clock throughput of
-			// millisecond-scale segments, which a GC pause or a noisy CI
-			// neighbor can distort with no code defect. A transient miss
-			// is re-measured on a fresh run (the property claims the
-			// system *can* recover, not that every scheduling of one run
-			// is noise-free) before the verdict sticks.
-			for attempt := 0; !c.Passed && attempt < 2; attempt++ {
-				again, err := execute(sp)
-				if err != nil {
-					break
-				}
-				c = checkLiveness(sp, again)
-			}
+			c = checkRecovered("liveness", "heal", 3, run)
 		case "determinism":
 			c = checkDeterminism(sp, run)
 		case "corruption-rejected":
@@ -177,16 +161,7 @@ func Run(preset string, opt Options) (*Report, error) {
 		case "membership":
 			c = checkMembership(sp, run)
 		case "churn-liveness":
-			c = checkChurnLiveness(sp, run)
-			// Same wall-clock caveat as liveness: re-measure a transient
-			// throughput miss on a fresh run before the verdict sticks.
-			for attempt := 0; !c.Passed && attempt < 2; attempt++ {
-				again, err := execute(sp)
-				if err != nil {
-					break
-				}
-				c = checkChurnLiveness(sp, again)
-			}
+			c = checkRecovered("churn-liveness", "churn", 2, run)
 		case "join-converges":
 			c = checkJoinConverges(run)
 		case "shard-integrity":
@@ -372,25 +347,24 @@ func hasServerAdversary(sp scenario.Spec) bool {
 	return false
 }
 
-// checkLiveness compares steps/sec across the fault window: the segment
-// after the last heal must reach RecoveryRatio of the segment before the
-// first fault.
-func checkLiveness(sp scenario.Spec, run *runOutcome) Check {
-	if len(run.segments) < 3 {
-		return Check{Name: "liveness", Passed: false,
-			Detail: fmt.Sprintf("need pre-fault, faulted and healed segments; got %d", len(run.segments))}
+// checkRecovered is the liveness and churn-liveness verdict: the run got
+// through its whole fault schedule without an error, and every round
+// scheduled after the last fault (a heal, or the final membership
+// transition) committed an update — the system did not merely survive, it
+// is making full progress again. Wall-clock throughput before and after is
+// reported as evidence only: a ratio of two rates measured over
+// millisecond-scale segments says more about the host than about the code.
+func checkRecovered(name, fault string, minSegments int, run *runOutcome) Check {
+	if len(run.segments) < minSegments {
+		return Check{Name: name, Passed: false,
+			Detail: fmt.Sprintf("need %d segments around the %s; got %d", minSegments, fault, len(run.segments))}
 	}
-	pre := run.segments[0].Result.UpdatesPerSec()
-	post := run.segments[len(run.segments)-1].Result.UpdatesPerSec()
-	if pre <= 0 {
-		return Check{Name: "liveness", Passed: false, Detail: "pre-fault segment measured no throughput"}
-	}
-	ratio := post / pre
+	pre, last := run.segments[0], run.segments[len(run.segments)-1]
 	return Check{
-		Name:   "liveness",
-		Passed: ratio >= RecoveryRatio,
-		Detail: fmt.Sprintf("post-heal %.1f ups vs pre-fault %.1f ups (ratio %.2f, needs >= %.2f)",
-			post, pre, ratio, RecoveryRatio),
+		Name:   name,
+		Passed: last.Result.Updates == last.End-last.Start,
+		Detail: fmt.Sprintf("post-%s rounds [%d, %d) committed %d updates; %.1f ups after vs %.1f ups before",
+			fault, last.Start, last.End, last.Result.Updates, last.Result.UpdatesPerSec(), pre.Result.UpdatesPerSec()),
 	}
 }
 
@@ -484,28 +458,6 @@ func checkMembership(sp scenario.Spec, run *runOutcome) Check {
 		Passed: ok,
 		Detail: fmt.Sprintf("epoch %d after %d churn faults; fleet %dw/%ds (schedule promises %dw/%ds)",
 			run.epoch, transitions, run.workers, run.servers, workers, servers),
-	}
-}
-
-// checkChurnLiveness: throughput after the last membership transition
-// recovers to RecoveryRatio of the pre-churn segment — joins, drains and
-// rebinding fetch queues cost a transition blip, not sustained rate.
-func checkChurnLiveness(sp scenario.Spec, run *runOutcome) Check {
-	if len(run.segments) < 2 {
-		return Check{Name: "churn-liveness", Passed: false,
-			Detail: fmt.Sprintf("need pre-churn and post-churn segments; got %d", len(run.segments))}
-	}
-	pre := run.segments[0].Result.UpdatesPerSec()
-	post := run.segments[len(run.segments)-1].Result.UpdatesPerSec()
-	if pre <= 0 {
-		return Check{Name: "churn-liveness", Passed: false, Detail: "pre-churn segment measured no throughput"}
-	}
-	ratio := post / pre
-	return Check{
-		Name:   "churn-liveness",
-		Passed: ratio >= RecoveryRatio,
-		Detail: fmt.Sprintf("post-churn %.1f ups vs pre-churn %.1f ups (ratio %.2f, needs >= %.2f)",
-			post, pre, ratio, RecoveryRatio),
 	}
 }
 

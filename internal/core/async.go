@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"garfield/internal/metrics"
 	"garfield/internal/rpc"
 	"garfield/internal/tensor"
 )
@@ -372,8 +373,11 @@ func (c *Cluster) asyncReplicaLoop(res *Result, s *Server, contract bool, opt Ru
 		spawn(w, ro.WorkerAddrs[k])
 	}
 
-	var gradAgg, modelAgg *Aggregator
-	var gradKey, modelKey aggKey
+	var gradAggs, modelAggs aggCache
+	var bd *metrics.Breakdown // nil records nothing
+	if record {
+		bd = res.Breakdown
+	}
 	staleSum, quorumSum := 0, 0
 	for i := 0; i < opt.Iterations; i++ {
 		if fresh := c.Roster(); fresh.Epoch != ro.Epoch {
@@ -396,25 +400,21 @@ func (c *Cluster) asyncReplicaLoop(res *Result, s *Server, contract bool, opt Ru
 			}
 		}
 		q := ro.NW() - ro.FW
-		ga, err := cachedAggregator(&gradAgg, &gradKey, cfg.Rule, q, ro.FW)
+		ga, err := gradAggs.get(0, cfg.Rule, q, ro.FW)
 		if err != nil {
 			return fmt.Errorf("async iteration %d: %w", i, err)
 		}
-		commDone := c.phaseTimer()
+		t0 := c.clock.Now()
 		picks, err := queues.collect(s.Step(), q, tau, cfg.PullTimeout)
-		if record {
-			res.Breakdown.AddComm(commDone())
-		}
+		t1 := c.clock.Now()
+		bd.AddComm(t1.Sub(t0))
 		if err != nil {
 			return err
 		}
-		aggDone := c.phaseTimer()
 		staleSum += dampPicks(picks, damping)
 		quorumSum += q
 		aggr, err := ga.Aggregate(pickVectors(picks))
-		if record {
-			res.Breakdown.AddAgg(aggDone())
-		}
+		bd.AddAgg(c.clock.Now().Sub(t1))
 		if err != nil {
 			return fmt.Errorf("async iteration %d: %w", i, err)
 		}
@@ -423,11 +423,16 @@ func (c *Cluster) asyncReplicaLoop(res *Result, s *Server, contract bool, opt Ru
 		}
 		if contract && (i+1)%cfg.ModelAggEvery == 0 {
 			qps := ro.NPS() - ro.FPS
-			ma, err := cachedAggregator(&modelAgg, &modelKey, cfg.ModelRule, qps, ro.FPS)
+			ma, err := modelAggs.get(0, cfg.ModelRule, qps, ro.FPS)
 			if err != nil {
 				return fmt.Errorf("async iteration %d: %w", i, err)
 			}
-			if err := c.asyncModelExchange(s, ma, qps); err != nil {
+			// Barrier-free contraction: whatever state the fastest q_ps
+			// peers are in is what gets aggregated.
+			xctx, xcancel := context.WithTimeout(ctx, cfg.PullTimeout)
+			err = s.exchangeModels(xctx, qps, ma, c.clock, nil)
+			xcancel()
+			if err != nil {
 				return fmt.Errorf("async iteration %d: %w", i, err)
 			}
 		}
@@ -446,23 +451,6 @@ func (c *Cluster) asyncReplicaLoop(res *Result, s *Server, contract bool, opt Ru
 		res.StaleDrops = queues.dropCount()
 	}
 	return nil
-}
-
-// asyncModelExchange is the barrier-free contraction step: pull the fastest
-// q_ps peer models (whatever state they are in) and overwrite local state
-// with their robust aggregate.
-func (c *Cluster) asyncModelExchange(s *Server, modelAgg *Aggregator, qps int) error {
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.PullTimeout)
-	defer cancel()
-	models, err := s.GetModels(ctx, qps)
-	if err != nil {
-		return err
-	}
-	aggr, err := modelAgg.Aggregate(models)
-	if err != nil {
-		return err
-	}
-	return s.WriteModel(aggr)
 }
 
 // asyncReplaySalt domain-separates the replay schedule RNG from every other

@@ -323,61 +323,3 @@ func TestGradQueuesConcurrentStress(t *testing.T) {
 	close(done)
 	wg.Wait()
 }
-
-// TestBarrierWaitReportsBroken pins the bugfix contract: wait() must tell a
-// participant that the barrier was broken so it can abort its round, both
-// when it was already blocked and when it arrives afterwards.
-func TestBarrierWaitReportsBroken(t *testing.T) {
-	b := newBarrier(3)
-
-	blocked := make(chan bool, 2)
-	for i := 0; i < 2; i++ {
-		go func() { blocked <- b.wait() }()
-	}
-	// Let both participants block, then the third one fails.
-	time.Sleep(10 * time.Millisecond)
-	b.break_()
-	for i := 0; i < 2; i++ {
-		select {
-		case ok := <-blocked:
-			if ok {
-				t.Fatal("wait() reported an intact barrier after break_()")
-			}
-		case <-time.After(2 * time.Second):
-			t.Fatal("wait() did not return after break_()")
-		}
-	}
-	// Late arrivals observe the break too.
-	if b.wait() {
-		t.Fatal("post-break wait() reported an intact barrier")
-	}
-}
-
-func TestBarrierWaitIntactRounds(t *testing.T) {
-	b := newBarrier(2)
-	for round := 0; round < 3; round++ {
-		other := make(chan bool, 1)
-		go func() { other <- b.wait() }()
-		if !b.wait() {
-			t.Fatalf("round %d: intact barrier reported broken", round)
-		}
-		if !<-other {
-			t.Fatalf("round %d: peer saw a broken barrier", round)
-		}
-	}
-}
-
-func TestFirstRootCausePrefersRealFailures(t *testing.T) {
-	boom := errors.New("boom")
-	r, err := firstRootCause([]error{errBarrierBroken, nil, boom})
-	if r != 2 || !errors.Is(err, boom) {
-		t.Fatalf("got (%d, %v), want the real failure at index 2", r, err)
-	}
-	r, err = firstRootCause([]error{nil, errBarrierBroken})
-	if r != 1 || !errors.Is(err, errBarrierBroken) {
-		t.Fatalf("got (%d, %v), want the barrier break at index 1", r, err)
-	}
-	if r, err = firstRootCause([]error{nil, nil}); r != -1 || err != nil {
-		t.Fatalf("got (%d, %v) for a clean round", r, err)
-	}
-}

@@ -135,11 +135,11 @@ type Config struct {
 	// gradient estimate per step and serve it to every puller (the
 	// paper's broadcast semantics) instead of drawing a fresh mini-batch
 	// per pull, servers aggregate pulled vectors in canonical (address)
-	// order instead of arrival order, and the MSMW replicas run their
-	// model-exchange phase in lockstep. Replicated topologies additionally
-	// need SyncQuorum (with q < n the responding subset itself depends on
-	// timing) and an order-insensitive ModelRule such as median. Used by
-	// the scenario sweep runner.
+	// order instead of arrival order, and rounds run phase by phase in
+	// replica order on one goroutine (round.run). Replicated topologies
+	// additionally need SyncQuorum (with q < n the responding subset itself
+	// depends on timing) and an order-insensitive ModelRule such as median.
+	// Used by the scenario sweep runner.
 	Deterministic bool
 }
 
@@ -471,9 +471,7 @@ func (c *Cluster) Close() {
 	srvs := append(append([]io.Closer(nil), c.workerSrv...), c.serverSrv...)
 	c.memMu.RUnlock()
 	for _, cl := range clients {
-		if closer, ok := cl.(io.Closer); ok {
-			_ = closer.Close()
-		}
+		closeCaller(cl)
 	}
 	for _, s := range srvs {
 		if s != nil {
@@ -532,15 +530,20 @@ func (c *Cluster) serverCrashed(i int) bool {
 	return c.crashed[i].Load()
 }
 
-// primary returns the lowest-index active, non-crashed server replica — the
-// fail-over order of the crash-tolerant baseline. ok is false when every
-// replica is down or departed.
-func (c *Cluster) primary() (int, bool) {
-	c.memMu.RLock()
-	defer c.memMu.RUnlock()
-	return c.primaryLocked()
+// liveServers appends the roster's non-crashed replica slots to dst, in
+// roster order — the replicas the crash-tolerant and sharded rounds drive.
+func (c *Cluster) liveServers(ro Roster, dst []int) []int {
+	for _, r := range ro.Servers {
+		if !c.serverCrashed(r) {
+			dst = append(dst, r)
+		}
+	}
+	return dst
 }
 
+// primaryLocked returns the lowest-index active, non-crashed server replica —
+// the fail-over order of the crash-tolerant baseline. ok is false when every
+// replica is down or departed.
 func (c *Cluster) primaryLocked() (int, bool) {
 	for i := range c.crashed {
 		if c.serverActive[i] && !c.crashed[i].Load() {

@@ -62,3 +62,34 @@ func (a *Aggregator) Aggregate(vs []tensor.Vector) (tensor.Vector, error) {
 	a.dst = out
 	return out, nil
 }
+
+// aggCache holds one Aggregator per slot — a replica or shard index, stable
+// across roster transitions — and rebuilds a slot only when the (rule, n, f)
+// shape asked of it changes, so steady-state rounds reuse the rule's arena
+// and output buffer. The zero value is ready. Like the Aggregators it hands
+// out, a cache belongs to one goroutine: runners resolve every slot before
+// they fan out.
+type aggCache struct {
+	slots map[int]*aggSlot
+}
+
+type aggSlot struct {
+	agg  *Aggregator
+	rule string
+	n, f int
+}
+
+func (ac *aggCache) get(slot int, rule string, n, f int) (*Aggregator, error) {
+	if e := ac.slots[slot]; e != nil && e.rule == rule && e.n == n && e.f == f {
+		return e.agg, nil
+	}
+	agg, err := NewAggregator(rule, n, f)
+	if err != nil {
+		return nil, err
+	}
+	if ac.slots == nil {
+		ac.slots = make(map[int]*aggSlot)
+	}
+	ac.slots[slot] = &aggSlot{agg: agg, rule: rule, n: n, f: f}
+	return agg, nil
+}

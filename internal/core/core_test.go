@@ -2,6 +2,9 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -200,9 +203,8 @@ func TestCrashTolerantSurvivesPrimaryCrash(t *testing.T) {
 		t.Fatalf("post-failover accuracy = %v", acc)
 	}
 	// The observed primary must now be replica 1.
-	p, ok := c.primary()
-	if !ok || p != 1 {
-		t.Fatalf("primary = %d, %v", p, ok)
+	if live := c.liveServers(c.Roster(), nil); len(live) == 0 || live[0] != 1 {
+		t.Fatalf("live replicas = %v, want replica 1 first", live)
 	}
 }
 
@@ -281,15 +283,93 @@ func TestMSMWToleratesStraggler(t *testing.T) {
 	}
 }
 
+// TestSSMWFailsWhenWorkerCrashes pins how a lockstep round fails, for every
+// topology in both scheduler nestings: one replica is cut off from one worker
+// under a synchronous quorum, so exactly that replica's gradient pull misses.
+// The run's error must name the topology, iteration, replica and phase once
+// and still unwrap to rpc.ErrQuorum; the failing replica must not have
+// applied anything; where the failing phase ends a stage (decentralized) no
+// replica may have entered the next one; and after Close no goroutine of the
+// failed round or the cluster is left behind.
 func TestSSMWFailsWhenWorkerCrashes(t *testing.T) {
-	cfg := baseConfig(t)
-	c := newTestCluster(t, cfg)
-	c.CrashWorker(0)
-	// SSMW is synchronous (q = nw): a crashed worker breaks the quorum.
-	_, err := c.RunSSMW(RunOptions{Iterations: 5})
-	if !errors.Is(err, rpc.ErrQuorum) {
-		t.Fatalf("err = %v, want ErrQuorum", err)
+	tests := []struct {
+		name     string
+		nw, nps  int
+		run      func(*Cluster, RunOptions) (*Result, error)
+		cut      int    // replica partitioned from worker 0
+		want     string // error prefix
+		noUpdate bool   // no replica may have updated its model
+	}{
+		{"ssmw", 7, 4, (*Cluster).RunSSMW, 0, "core: ssmw iteration 0 replica 0 gradients: ", true},
+		{"crash-tolerant", 7, 4, (*Cluster).RunCrashTolerant, 0, "core: crash-tolerant iteration 0 replica 0 gradients+update: ", false},
+		{"msmw", 7, 4, (*Cluster).RunMSMW, 1, "core: msmw iteration 0 replica 1 gradients: ", false},
+		{"decentralized", 5, 5, (*Cluster).RunDecentralized, 1, "core: decentralized iteration 0 replica 1 gradients: ", true},
 	}
+	for _, tc := range tests {
+		for _, det := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/deterministic=%v", tc.name, det), func(t *testing.T) {
+				before := runtime.NumGoroutine()
+				cfg := baseConfig(t)
+				cfg.NW, cfg.NPS, cfg.FPS = tc.nw, tc.nps, 0
+				cfg.SyncQuorum, cfg.Deterministic = true, det
+				c, err := NewCluster(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				c.Partition([]string{c.ServerAddr(tc.cut)}, []string{c.WorkerAddr(0)})
+				_, err = tc.run(c, RunOptions{Iterations: 5})
+				if !errors.Is(err, rpc.ErrQuorum) {
+					t.Fatalf("err = %v, want ErrQuorum", err)
+				}
+				if !strings.HasPrefix(err.Error(), tc.want) {
+					t.Fatalf("err = %q, want prefix %q", err, tc.want)
+				}
+				for r := 0; r < c.Servers(); r++ {
+					if step := c.Server(r).Step(); step != 0 && (r == tc.cut || tc.noUpdate) {
+						t.Fatalf("replica %d applied %d updates in the failed round", r, step)
+					}
+				}
+				c.Close()
+				if after := goroutinesAfterClose(before); after > before {
+					t.Fatalf("%d goroutines before the cluster, %d after the failed run and Close", before, after)
+				}
+			})
+		}
+	}
+}
+
+// TestCloseReleasesEveryGoroutine: a cluster that trained over the live
+// wiring — pooled connections dialled, their watchers running — returns the
+// process to its goroutine baseline on Close.
+func TestCloseReleasesEveryGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	c, err := NewCluster(baseConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.RunMSMW(RunOptions{Iterations: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if during := runtime.NumGoroutine(); during <= before {
+		t.Fatalf("a live cluster runs no goroutines (%d before, %d during)? the baseline is meaningless", before, during)
+	}
+	c.Close()
+	if after := goroutinesAfterClose(before); after > before {
+		t.Fatalf("%d goroutines before NewCluster, %d after Close", before, after)
+	}
+}
+
+// goroutinesAfterClose reads the goroutine count once it is back to at most
+// baseline. Close waits for every goroutine it owns, but a goroutine that has
+// signalled its WaitGroup is still counted for the instant it takes to
+// unwind, so the read polls briefly; a real leak never drains and is
+// reported after a second.
+func goroutinesAfterClose(baseline int) int {
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	return runtime.NumGoroutine()
 }
 
 func TestDecentralizedConvergesIID(t *testing.T) {

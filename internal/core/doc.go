@@ -16,9 +16,12 @@
 // what it serves, exactly the paper's inheritance structure.
 //
 // A Cluster is driven by the protocol runners — RunVanilla, RunSSMW,
-// RunAggregaThor, RunCrashTolerant, RunMSMW, RunDecentralized — each of
-// which executes the corresponding listing's training loop and returns a
-// Result (accuracy curves, throughput, a per-phase latency breakdown).
+// RunAggregaThor, RunCrashTolerant, RunMSMW, RunDecentralized, RunSharded —
+// each of which executes the corresponding listing's training loop and
+// returns a Result (accuracy curves, throughput, a per-phase latency
+// breakdown). Every one of them is a thin Stepper choosing replicas, quorums
+// and rules over the shared phase functions and the one scheduler of
+// stepper.go (ARCHITECTURE.md, "Executing a round").
 // RunAsyncSSMW and RunAsyncMSMW run the bounded-staleness asynchronous
 // engine instead (see async.go): no lockstep rounds, per-worker gradient
 // queues with staleness tags, aggregation over the q = nw - fw freshest
@@ -49,7 +52,9 @@
 // runs at a fixed seed: workers compute one gradient estimate per step and
 // serve it to every puller (the paper's broadcast semantics), servers
 // aggregate pulled vectors in canonical peer order rather than arrival
-// order, and the replicated protocols exchange models in lockstep.
+// order, and every round runs its phases sequentially in replica order on
+// one goroutine instead of fanning out (ARCHITECTURE.md, "Executing a
+// round") — the schedule the discrete-event simulator shares.
 // Replicated topologies additionally need SyncQuorum — with q < n the
 // responding subset itself is timing-dependent. The scenario sweep runner
 // uses this mode to make its artifacts reproducible byte for byte.

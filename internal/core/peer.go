@@ -19,29 +19,10 @@ type PeerNode struct {
 	worker *Worker
 	server *Server
 
-	// Cached per-shape aggregators: DecentralizedStep runs on the node's
-	// single training-loop goroutine, so the rule arenas and output
-	// buffers are reused across iterations (rebuilt only if the caller
-	// changes rule or quorum shape mid-run).
-	gradAgg, modelAgg *Aggregator
-	gradKey, modelKey aggKey
-}
-
-type aggKey struct {
-	rule string
-	n, f int
-}
-
-func cachedAggregator(slot **Aggregator, key *aggKey, rule string, n, f int) (*Aggregator, error) {
-	want := aggKey{rule: rule, n: n, f: f}
-	if *slot == nil || *key != want {
-		agg, err := NewAggregator(rule, n, f)
-		if err != nil {
-			return nil, err
-		}
-		*slot, *key = agg, want
-	}
-	return *slot, nil
+	// DecentralizedStep runs on the node's single training-loop goroutine,
+	// so the rule arenas and output buffers are reused across iterations
+	// (rebuilt only if the caller changes rule or quorum shape mid-run).
+	gradAggs, modelAggs aggCache
 }
 
 var _ rpc.Handler = (*PeerNode)(nil)
@@ -69,71 +50,60 @@ func (p *PeerNode) Handle(req rpc.Request) rpc.Response {
 }
 
 // DecentralizedStep executes one iteration of Listing 3 for this node
-// against remote peers, with no global barrier: the contract step retries
-// until a quorum of peers has published an aggregated gradient for the
-// round. q is the collection quorum (n-f, or n under synchrony).
+// against remote peers — the same pull-and-aggregate blocks the in-process
+// decentralized round is made of, without its stage barriers: here the
+// contract step retries until a quorum of peers has published an aggregated
+// gradient for the round. q is the collection quorum (n-f, or n under
+// synchrony).
 func (p *PeerNode) DecentralizedStep(ctx context.Context, iteration, q, f int, rule, modelRule string, contractSteps int) error {
-	s := p.server
-	gradAgg, err := cachedAggregator(&p.gradAgg, &p.gradKey, rule, q, f)
-	if err != nil {
+	if err := p.step(ctx, iteration, q, f, rule, modelRule, contractSteps); err != nil {
 		return fmt.Errorf("core: peer step %d: %w", iteration, err)
 	}
-	modelAgg, err := cachedAggregator(&p.modelAgg, &p.modelKey, modelRule, q, f)
+	return nil
+}
+
+func (p *PeerNode) step(ctx context.Context, iteration, q, f int, rule, modelRule string, contractSteps int) error {
+	s, clk := p.server, WallClock()
+	gradAgg, err := p.gradAggs.get(0, rule, q, f)
 	if err != nil {
-		return fmt.Errorf("core: peer step %d: %w", iteration, err)
+		return err
 	}
-	grads, err := s.GetGradients(ctx, iteration, q)
+	modelAgg, err := p.modelAggs.get(0, modelRule, q, f)
 	if err != nil {
-		return fmt.Errorf("core: peer step %d gradients: %w", iteration, err)
+		return err
 	}
-	aggr, err := gradAgg.Aggregate(grads)
+	aggr, err := s.pullAggregate(ctx, s.gradientsReq(iteration, q), gradAgg, clk, nil)
 	if err != nil {
-		return fmt.Errorf("core: peer step %d: %w", iteration, err)
+		return err
 	}
 	for step := 0; step < contractSteps; step++ {
 		s.SetLatestAggrGrad(aggr)
-		aggrs, err := pullAggrGradsWithRetry(ctx, s, q)
-		if err != nil {
-			return fmt.Errorf("core: peer step %d contract %d: %w", iteration, step, err)
-		}
-		aggr, err = gradAgg.Aggregate(aggrs)
-		if err != nil {
-			return fmt.Errorf("core: peer step %d contract %d: %w", iteration, step, err)
+		if aggr, err = contractPullWithRetry(ctx, s, q, gradAgg); err != nil {
+			return fmt.Errorf("contract %d: %w", step, err)
 		}
 	}
 	if err := s.UpdateModel(aggr); err != nil {
 		return err
 	}
-	models, err := s.GetModels(ctx, q)
-	if err != nil {
-		return fmt.Errorf("core: peer step %d models: %w", iteration, err)
-	}
-	aggrModel, err := modelAgg.Aggregate(models)
-	if err != nil {
-		return fmt.Errorf("core: peer step %d: %w", iteration, err)
-	}
-	return s.WriteModel(aggrModel)
+	return s.exchangeModels(ctx, q, modelAgg, clk, nil)
 }
 
-// pullAggrGradsWithRetry keeps pulling until q peers serve an aggregated
-// gradient or ctx expires. Peers that have not reached the publish point of
-// the current round decline, which surfaces as a quorum miss — transient by
-// construction, hence the retry loop (the cross-process substitute for the
-// in-process barrier).
-func pullAggrGradsWithRetry(ctx context.Context, s *Server, q int) ([]tensor.Vector, error) {
+// contractPullWithRetry keeps pulling until q peers serve an aggregated
+// gradient or ctx expires, then re-aggregates. Peers that have not reached
+// the publish point of the current round decline, which surfaces as a quorum
+// miss — transient by construction, hence the retry loop (the cross-process
+// substitute for the in-process stage barrier).
+func contractPullWithRetry(ctx context.Context, s *Server, q int, agg *Aggregator) (tensor.Vector, error) {
 	backoff := 2 * time.Millisecond
 	for {
-		aggrs, err := s.GetAggrGrads(ctx, q)
-		if err == nil {
-			return aggrs, nil
-		}
+		aggr, err := s.pullAggregate(ctx, s.aggrGradsReq(q), agg, WallClock(), nil)
 		if !errors.Is(err, rpc.ErrQuorum) {
-			return nil, err
+			return aggr, err
 		}
 		select {
 		case <-ctx.Done():
 			return nil, fmt.Errorf("core: contract quorum: %w", ctx.Err())
-		//lint:allow wallclock(quorum-retry pacing in the decentralized topology, which the simulator rejects; affects liveness only, never a deterministic artifact)
+		//lint:allow wallclock(quorum-retry pacing of the cross-process PeerNode, which runs on real sockets only; affects liveness, never a deterministic artifact)
 		case <-time.After(backoff):
 		}
 		if backoff < 100*time.Millisecond {

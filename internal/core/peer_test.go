@@ -152,12 +152,17 @@ func TestPeerContractRetries(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	aggrs, err := pullAggrGradsWithRetry(ctx, nodes[0].Server(), n)
+	agg, err := NewAggregator(gar.NameMedian, n, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(aggrs) != n {
-		t.Fatalf("aggrs = %d", len(aggrs))
+	aggr, err := contractPullWithRetry(ctx, nodes[0].Server(), n, agg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// All three published values were pulled: the median of {0.1, 0.1, 0.5}.
+	if !aggr.Equal(tensor.Filled(aggr.Dim(), 0.1)) {
+		t.Fatalf("aggregate = %v..., want the median 0.1", aggr[:1])
 	}
 }
 
@@ -169,8 +174,11 @@ func TestPeerContractDeadline(t *testing.T) {
 	nodes[0].Server().SetLatestAggrGrad(tensor.Filled(nodes[0].Server().Params().Dim(), 1))
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()
-	_, err := pullAggrGradsWithRetry(ctx, nodes[0].Server(), n)
-	if err == nil {
+	agg, err := NewAggregator(gar.NameMedian, n, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err = contractPullWithRetry(ctx, nodes[0].Server(), n, agg); err == nil {
 		t.Fatal("expected deadline error")
 	}
 }

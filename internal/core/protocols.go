@@ -1,16 +1,12 @@
 package core
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"garfield/internal/gar"
 	"garfield/internal/metrics"
 	"garfield/internal/rpc"
-	"garfield/internal/tensor"
 )
 
 // Result collects the measurements of one training run in the units the
@@ -128,17 +124,11 @@ func (c *Cluster) RunAggregaThor(opt RunOptions) (*Result, error) {
 }
 
 // runSingleServer drives the roster's first server replica through the
-// shared run loop. The stepper re-reads the roster every iteration, so
-// mid-run joins/leaves take effect at the next round: the worker quorum
-// tracks the active worker count (and, for robust rules, the active
-// declared-Byzantine count), and the aggregator is rebuilt only when the
-// fleet shape actually changes.
+// shared run loop with the topology's rule; robust rules budget for the
+// roster's declared-Byzantine workers, plain averaging for none.
 func (c *Cluster) runSingleServer(opt RunOptions, rule string, robust bool, name string) (*Result, error) {
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
 	res := newResult(name)
-	return c.driveSteps(res, &singleServerStepper{c: c, res: res, rule: rule, robust: robust, name: name}, opt)
+	return c.driveSteps(res, newSingleServerStepper(c, res, rule, robust, name), opt)
 }
 
 // RunCrashTolerant trains with the strawman crash-tolerant protocol of
@@ -148,41 +138,11 @@ func (c *Cluster) runSingleServer(opt RunOptions, rule string, robust bool, name
 // its model may miss updates, which is acceptable for eventual convergence.
 // Accuracy is observed at the current primary.
 func (c *Cluster) RunCrashTolerant(opt RunOptions) (*Result, error) {
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
 	if c.Servers() < 1 {
 		return nil, fmt.Errorf("%w: crash-tolerant needs server replicas", ErrConfig)
 	}
 	res := newResult("crash-tolerant")
-	st := &crashStepper{c: c, res: res, aggs: make(map[int]*Aggregator), keys: make(map[int]aggKey)}
-	return c.driveSteps(res, st, opt)
-}
-
-// crashStep performs one average-and-update step at replica r with its
-// per-replica aggregator and the round's worker quorum q. Only the primary's
-// timings feed the breakdown to keep per-iteration semantics.
-func (c *Cluster) crashStep(res *Result, agg *Aggregator, r, i, q int, isPrimary bool) error {
-	s := c.Server(r)
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.PullTimeout)
-	defer cancel()
-	commDone := c.phaseTimer()
-	grads, err := s.GetGradients(ctx, i, q)
-	if isPrimary {
-		res.Breakdown.AddComm(commDone())
-	}
-	if err != nil {
-		return err
-	}
-	aggDone := c.phaseTimer()
-	aggr, err := agg.Aggregate(grads)
-	if isPrimary {
-		res.Breakdown.AddAgg(aggDone())
-	}
-	if err != nil {
-		return err
-	}
-	return s.UpdateModel(aggr)
+	return c.driveSteps(res, newCrashStepper(c, res), opt)
 }
 
 // RunMSMW trains the multi-server multi-worker application of Listing 2:
@@ -190,71 +150,13 @@ func (c *Cluster) crashStep(res *Result, agg *Aggregator, r, i, q int, isPrimary
 // updates its model, then pulls n_ps - f_ps models from its peers,
 // robust-aggregates those and overwrites its own state. Byzantine replicas
 // serve corrupted models; Byzantine workers serve corrupted gradients.
-// Accuracy is observed at the first honest replica. In deterministic mode
-// the replicas run in lockstep phase order (all update before anyone pulls
-// models, all pull before anyone overwrites its state — see
-// msmwStepper.stepLockstep); otherwise they run concurrently.
+// Accuracy is observed at the first honest replica.
 func (c *Cluster) RunMSMW(opt RunOptions) (*Result, error) {
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
 	if c.Roster().NPS() < 2 {
 		return nil, fmt.Errorf("%w: msmw needs at least 2 server replicas", ErrConfig)
 	}
 	res := newResult("msmw")
 	return c.driveSteps(res, newMSMWStepper(c, res), opt)
-}
-
-// msmwStep performs one concurrent-mode round at replica r: pull qw
-// gradients, robust-aggregate, update, then (on contraction rounds) pull
-// qps peer models, robust-aggregate and overwrite. Only replica honest[0]'s
-// timings feed the breakdown.
-func (c *Cluster) msmwStep(res *Result, gradAgg, modelAgg *Aggregator, r, i, qw, qps int, record bool) error {
-	cfg := c.cfg
-	s := c.Server(r)
-	ctx, cancel := context.WithTimeout(context.Background(), cfg.PullTimeout)
-	defer cancel()
-
-	commDone := c.phaseTimer()
-	grads, err := s.GetGradients(ctx, i, qw)
-	if record {
-		res.Breakdown.AddComm(commDone())
-	}
-	if err != nil {
-		return err
-	}
-	aggDone := c.phaseTimer()
-	aggr, err := gradAgg.Aggregate(grads)
-	if record {
-		res.Breakdown.AddAgg(aggDone())
-	}
-	if err != nil {
-		return err
-	}
-	if err := s.UpdateModel(aggr); err != nil {
-		return err
-	}
-	if (i+1)%cfg.ModelAggEvery != 0 {
-		return nil // contraction is periodic; no model exchange this round
-	}
-
-	commDone = c.phaseTimer()
-	models, err := s.GetModels(ctx, qps)
-	if record {
-		res.Breakdown.AddComm(commDone())
-	}
-	if err != nil {
-		return err
-	}
-	aggDone = c.phaseTimer()
-	aggrModel, err := modelAgg.Aggregate(models)
-	if record {
-		res.Breakdown.AddAgg(aggDone())
-	}
-	if err != nil {
-		return err
-	}
-	return s.WriteModel(aggrModel)
 }
 
 // RunDecentralized trains the peer-to-peer application of Listing 3: every
@@ -264,233 +166,10 @@ func (c *Cluster) msmwStep(res *Result, gradAgg, modelAgg *Aggregator, r, i, qw,
 // models of n - f peers. The cluster must be built with NPS == NW: node i
 // is the pairing of server i and worker i. Accuracy is observed at node 0.
 func (c *Cluster) RunDecentralized(opt RunOptions) (*Result, error) {
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
-	cfg := c.cfg
-	if c.Servers() != cfg.NW {
+	if c.Servers() != c.cfg.NW {
 		return nil, fmt.Errorf("%w: decentralized needs nps == nw (one server+worker pair per node), got %d servers %d workers",
-			ErrConfig, c.Servers(), cfg.NW)
+			ErrConfig, c.Servers(), c.cfg.NW)
 	}
-	n, f := cfg.NW, cfg.FW
 	res := newResult("decentralized")
-	honest := n - f
-	q := n - f
-	if cfg.SyncQuorum {
-		q = n
-	}
-	gradAggs := make([]*Aggregator, honest)
-	modelAggs := make([]*Aggregator, honest)
-	for r := 0; r < honest; r++ {
-		var err error
-		if gradAggs[r], err = NewAggregator(cfg.Rule, q, f); err != nil {
-			return nil, fmt.Errorf("core: decentralized: %w", err)
-		}
-		if modelAggs[r], err = NewAggregator(cfg.ModelRule, q, f); err != nil {
-			return nil, fmt.Errorf("core: decentralized: %w", err)
-		}
-	}
-	st := &decentralizedStepper{c: c, res: res, gradAggs: gradAggs, modelAggs: modelAggs}
-	return c.driveSteps(res, st, opt)
-}
-
-func (c *Cluster) decentralizedStep(res *Result, gradAgg, modelAgg *Aggregator, r, i int, b *barrier, record bool) error {
-	cfg := c.cfg
-	s := c.Server(r)
-	n, f := cfg.NW, cfg.FW
-	q := n - f
-	if cfg.SyncQuorum {
-		q = n
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), cfg.PullTimeout)
-	defer cancel()
-
-	commDone := c.phaseTimer()
-	grads, err := s.GetGradients(ctx, i, q)
-	if record {
-		res.Breakdown.AddComm(commDone())
-	}
-	if err != nil {
-		return releaseAndFail(b, err)
-	}
-	aggDone := c.phaseTimer()
-	aggr, err := gradAgg.Aggregate(grads)
-	if record {
-		res.Breakdown.AddAgg(aggDone())
-	}
-	if err != nil {
-		return releaseAndFail(b, err)
-	}
-
-	if cfg.NonIID {
-		aggr, err = c.contract(res, s, gradAgg, aggr, b, record)
-		if err != nil {
-			return err
-		}
-	} else {
-		// Keep barrier phase counts aligned across nodes.
-		for step := 0; step < cfg.ContractSteps; step++ {
-			if !b.wait() || !b.wait() {
-				return errBarrierBroken
-			}
-		}
-	}
-
-	if err := s.UpdateModel(aggr); err != nil {
-		return releaseAndFail(b, err)
-	}
-	if !b.wait() { // all nodes updated before model exchange
-		return errBarrierBroken
-	}
-
-	commDone = c.phaseTimer()
-	models, err := s.GetModels(ctx, q)
-	if record {
-		res.Breakdown.AddComm(commDone())
-	}
-	if err != nil {
-		return releaseAndFail(b, err)
-	}
-	if cfg.Deterministic {
-		// Lockstep model exchange: all nodes pulled before anyone
-		// overwrites its state, so the observed multiset of peer models
-		// does not depend on scheduling.
-		if !b.wait() {
-			return errBarrierBroken
-		}
-	}
-	aggDone = c.phaseTimer()
-	aggrModel, err := modelAgg.Aggregate(models)
-	if record {
-		res.Breakdown.AddAgg(aggDone())
-	}
-	if err != nil {
-		return releaseAndFail(b, err)
-	}
-	return s.WriteModel(aggrModel)
-}
-
-// contract is the multi-round gradient-contraction step of Listing 3
-// (lines 16-21): nodes repeatedly publish their aggregated gradient, pull
-// their peers', and re-aggregate, pulling the correct nodes' states closer
-// together under non-IID data. gradAgg is the node's gradient aggregator
-// (the pulled aggregate sets have the same shape as the gradient sets);
-// SetLatestAggrGrad clones, so overwriting gradAgg's buffer next round is
-// safe.
-func (c *Cluster) contract(res *Result, s *Server, gradAgg *Aggregator, aggr tensor.Vector, b *barrier, record bool) (tensor.Vector, error) {
-	cfg := c.cfg
-	n, f := cfg.NW, cfg.FW
-	q := n - f
-	if cfg.SyncQuorum {
-		q = n
-	}
-	for step := 0; step < cfg.ContractSteps; step++ {
-		s.SetLatestAggrGrad(aggr)
-		if !b.wait() { // everyone published before anyone pulls
-			return nil, errBarrierBroken
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), cfg.PullTimeout)
-		commDone := c.phaseTimer()
-		aggrs, err := s.GetAggrGrads(ctx, q)
-		cancel()
-		if record {
-			res.Breakdown.AddComm(commDone())
-		}
-		if err != nil {
-			return nil, releaseAndFail(b, err)
-		}
-		aggDone := c.phaseTimer()
-		aggr, err = gradAgg.Aggregate(aggrs)
-		if record {
-			res.Breakdown.AddAgg(aggDone())
-		}
-		if err != nil {
-			return nil, releaseAndFail(b, err)
-		}
-		if !b.wait() { // everyone pulled before the next publish overwrites
-			return nil, errBarrierBroken
-		}
-	}
-	return aggr, nil
-}
-
-// barrier synchronizes the in-process node goroutines at phase boundaries.
-// A real deployment gets this alignment from the pull quorums themselves;
-// in-process we make it explicit so runs are deterministic.
-type barrier struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	n      int
-	count  int
-	round  int
-	broken bool
-}
-
-// errBarrierBroken is returned by a step whose round was aborted because a
-// peer broke the phase barrier (the peer's own failure is the root cause).
-var errBarrierBroken = errors.New("core: round aborted: a peer failed and broke the phase barrier")
-
-func newBarrier(n int) *barrier {
-	b := &barrier{n: n}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-// wait blocks until all n participants arrive and reports whether the
-// barrier is intact: false means a failing participant broke it, and the
-// caller must abort its round rather than proceed — completing the round
-// would record a step (and mutate model state) on a phase alignment that no
-// longer holds.
-func (b *barrier) wait() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.broken {
-		return false
-	}
-	b.count++
-	if b.count == b.n {
-		b.count = 0
-		b.round++
-		b.cond.Broadcast()
-		return true
-	}
-	round := b.round
-	for b.round == round && !b.broken {
-		b.cond.Wait()
-	}
-	return !b.broken
-}
-
-// break_ permanently releases the barrier so peers of a failed node do not
-// deadlock.
-func (b *barrier) break_() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.broken = true
-	b.cond.Broadcast()
-}
-
-// releaseAndFail breaks the barrier — permanently releasing peers awaiting
-// any remaining phase — and returns err.
-func releaseAndFail(b *barrier, err error) error {
-	b.break_()
-	return err
-}
-
-// firstRootCause picks the error to surface from a round's per-node error
-// slice: a node's own failure is the root cause, and peers that merely
-// observed the broken barrier are secondary. Returns the node index and its
-// error, or (-1, nil) when the round succeeded everywhere.
-func firstRootCause(errs []error) (int, error) {
-	for r, err := range errs {
-		if err != nil && !errors.Is(err, errBarrierBroken) {
-			return r, err
-		}
-	}
-	for r, err := range errs {
-		if err != nil {
-			return r, err
-		}
-	}
-	return -1, nil
+	return c.driveSteps(res, newDecentralizedStepper(c, res), opt)
 }

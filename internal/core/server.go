@@ -10,6 +10,7 @@ import (
 	"garfield/internal/compress"
 	"garfield/internal/data"
 	"garfield/internal/gar"
+	"garfield/internal/metrics"
 	"garfield/internal/model"
 	"garfield/internal/rpc"
 	"garfield/internal/sgd"
@@ -18,10 +19,10 @@ import (
 
 // Server is the stateful node of Garfield's design (Section 3.2): it owns
 // the model state, asks workers for gradient estimates, aggregates them and
-// updates the model. It exposes the two networking abstractions of the paper
-// — GetGradients(t, q) and GetModels(q) — plus GetAggrGrads(q) for the
-// decentralized contract step, and serves the corresponding pull requests
-// from its peers.
+// updates the model. It issues the two networking abstractions of the paper
+// — get_gradients(t, q) and get_models(q) — plus get_aggr_grads(q) for the
+// decentralized contract step, all through one quorum-pull helper (pull),
+// and serves the corresponding pull requests from its peers.
 //
 // A Byzantine server is the same object with a non-nil attack, which
 // corrupts the models and aggregated gradients it serves.
@@ -249,69 +250,109 @@ func (s *Server) AdoptState(params tensor.Vector, step uint32) error {
 	return nil
 }
 
-// GetGradients implements the paper's get_gradients(t, q): it broadcasts the
-// current model to the workers (folded into the pull request) and returns
-// the fastest q gradient estimates. q == len(workers) is the synchronous
-// mode; q < len(workers) tolerates stragglers and faults.
-func (s *Server) GetGradients(ctx context.Context, t int, q int) ([]tensor.Vector, error) {
-	req := rpc.Request{Kind: rpc.KindGetGradient, Step: uint32(t), Accept: s.accept, Vec: s.Params()}
-	replies, err := s.client.PullFirstQInto(ctx, s.workerList(), q, req, s.arena)
+// pullReq is one quorum pull: the request, the peers it fans out to, and the
+// number of replies it waits for. Every pull a server issues — gradients,
+// ranged or group-local gradients, peer models, peer aggregates — is one of
+// these run through Server.pull; the constructors below are the only places
+// that know what each kind asks for.
+type pullReq struct {
+	what  string // the paper's method name, for the error text
+	req   rpc.Request
+	peers []string
+	q     int
+}
+
+// pull runs one quorum pull and returns the fastest q reply vectors, decoded
+// into the server's arena (valid until its next pull).
+func (s *Server) pull(ctx context.Context, p pullReq) ([]tensor.Vector, error) {
+	replies, err := s.client.PullFirstQInto(ctx, p.peers, p.q, p.req, s.arena)
 	if err != nil {
-		return nil, fmt.Errorf("core: get_gradients(t=%d, q=%d): %w", t, q, err)
+		return nil, fmt.Errorf("core: %s(step=%d, q=%d of %d): %w", p.what, p.req.Step, p.q, len(p.peers), err)
 	}
 	return s.replyVectors(replies), nil
 }
 
-// GetGradientsRange is get_gradients(t, q) restricted to one coordinate
+// pullAggregate is the timed pull-and-aggregate block every round is made
+// of: pull q vectors, reduce them with agg. The two spans are measured on clk
+// and recorded in bd as communication and aggregation time; runners pass a
+// nil bd (records nothing) for every replica but the observed one. The
+// result is agg's buffer, valid until agg's next call.
+func (s *Server) pullAggregate(ctx context.Context, p pullReq, agg *Aggregator, clk Clock, bd *metrics.Breakdown) (tensor.Vector, error) {
+	t0 := clk.Now()
+	vecs, err := s.pull(ctx, p)
+	t1 := clk.Now()
+	bd.AddComm(t1.Sub(t0))
+	if err != nil {
+		return nil, err
+	}
+	out, err := agg.Aggregate(vecs)
+	bd.AddAgg(clk.Now().Sub(t1))
+	return out, err
+}
+
+// exchangeModels is the model-contraction step of Listing 2: pull q peer
+// models, robust-aggregate them and overwrite the local state.
+func (s *Server) exchangeModels(ctx context.Context, q int, agg *Aggregator, clk Clock, bd *metrics.Breakdown) error {
+	m, err := s.pullAggregate(ctx, s.modelsReq(q), agg, clk, bd)
+	if err != nil {
+		return err
+	}
+	return s.WriteModel(m)
+}
+
+// gradientsReq is the paper's get_gradients(t, q): the current model is
+// broadcast to the workers (folded into the pull request) and the fastest q
+// gradient estimates come back. q == len(workers) is the synchronous mode;
+// q < len(workers) tolerates stragglers and faults.
+func (s *Server) gradientsReq(t, q int) pullReq {
+	return s.gradientsFromReq(t, s.workerList(), q)
+}
+
+// gradientsFromReq is get_gradients(t, q) against an explicit worker subset
+// — the group-local pull of the hierarchical sharded protocol, where a shard
+// owner collects full gradients from its group's members only.
+func (s *Server) gradientsFromReq(t int, workers []string, q int) pullReq {
+	return pullReq{
+		what:  "get_gradients",
+		req:   rpc.Request{Kind: rpc.KindGetGradient, Step: uint32(t), Accept: s.accept, Vec: s.Params()},
+		peers: workers, q: q,
+	}
+}
+
+// gradientsRangeReq is get_gradients(t, q) restricted to one coordinate
 // shard: the request still carries the full model (the worker needs every
 // coordinate to compute its gradient) but asks for only the [lo, hi) slice
 // of the estimate, so the reply payload — and the decode bound — shrink to
 // the shard's width. shard tags the pull for per-shard wire accounting.
-func (s *Server) GetGradientsRange(ctx context.Context, t, q int, shard uint16, lo, hi int) ([]tensor.Vector, error) {
-	req := rpc.Request{
-		Kind: rpc.KindGetGradient, Step: uint32(t), Accept: s.accept,
-		Shard: shard, Lo: uint32(lo), Hi: uint32(hi), Vec: s.Params(),
-	}
-	replies, err := s.client.PullFirstQInto(ctx, s.workerList(), q, req, s.arena)
-	if err != nil {
-		return nil, fmt.Errorf("core: get_gradients_range(t=%d, q=%d, [%d:%d)): %w", t, q, lo, hi, err)
-	}
-	return s.replyVectors(replies), nil
+func (s *Server) gradientsRangeReq(t, q int, shard uint16, lo, hi int) pullReq {
+	p := s.gradientsReq(t, q)
+	p.what = "get_gradients_range"
+	p.req.Shard, p.req.Lo, p.req.Hi = shard, uint32(lo), uint32(hi)
+	return p
 }
 
-// GetGradientsFrom is get_gradients(t, q) against an explicit worker subset
-// — the group-local pull of the hierarchical sharded protocol, where a
-// shard owner collects full gradients from its group's members only.
-func (s *Server) GetGradientsFrom(ctx context.Context, t int, workers []string, q int) ([]tensor.Vector, error) {
-	req := rpc.Request{Kind: rpc.KindGetGradient, Step: uint32(t), Accept: s.accept, Vec: s.Params()}
-	replies, err := s.client.PullFirstQInto(ctx, workers, q, req, s.arena)
-	if err != nil {
-		return nil, fmt.Errorf("core: get_gradients_from(t=%d, q=%d of %d): %w", t, q, len(workers), err)
-	}
-	return s.replyVectors(replies), nil
+// modelsReq is the paper's get_models(q): the current model state of the
+// fastest q server replicas (out of all peers).
+func (s *Server) modelsReq(q int) pullReq {
+	return pullReq{what: "get_models", req: rpc.Request{Kind: rpc.KindGetModel, Step: s.Step()}, peers: s.peerList(), q: q}
 }
 
-// GetModels implements the paper's get_models(q): it pulls the current model
-// state of the fastest q server replicas (out of all peers).
-func (s *Server) GetModels(ctx context.Context, q int) ([]tensor.Vector, error) {
-	req := rpc.Request{Kind: rpc.KindGetModel, Step: s.Step()}
-	replies, err := s.client.PullFirstQInto(ctx, s.peerList(), q, req, s.arena)
-	if err != nil {
-		return nil, fmt.Errorf("core: get_models(q=%d): %w", q, err)
-	}
-	return s.replyVectors(replies), nil
-}
-
-// GetAggrGrads pulls the latest aggregated gradient of the fastest q peers —
-// the multi-round contract step of the decentralized application
+// aggrGradsReq asks the fastest q peers for their latest aggregated gradient
+// — the multi-round contract step of the decentralized application
 // (Listing 3).
-func (s *Server) GetAggrGrads(ctx context.Context, q int) ([]tensor.Vector, error) {
-	req := rpc.Request{Kind: rpc.KindGetAggrGrad, Step: s.Step()}
-	replies, err := s.client.PullFirstQInto(ctx, s.peerList(), q, req, s.arena)
-	if err != nil {
-		return nil, fmt.Errorf("core: get_aggr_grads(q=%d): %w", q, err)
-	}
-	return s.replyVectors(replies), nil
+func (s *Server) aggrGradsReq(q int) pullReq {
+	return pullReq{what: "get_aggr_grads", req: rpc.Request{Kind: rpc.KindGetAggrGrad, Step: s.Step()}, peers: s.peerList(), q: q}
+}
+
+// GetGradients runs get_gradients(t, q) for callers that drive their own
+// training loop (cmd/garfield-node).
+func (s *Server) GetGradients(ctx context.Context, t int, q int) ([]tensor.Vector, error) {
+	return s.pull(ctx, s.gradientsReq(t, q))
+}
+
+// GetModels runs get_models(q); see GetGradients.
+func (s *Server) GetModels(ctx context.Context, q int) ([]tensor.Vector, error) {
+	return s.pull(ctx, s.modelsReq(q))
 }
 
 // replyVectors extracts the pulled vectors. Replies arrive fastest-first;
@@ -383,8 +424,8 @@ func (s *Server) SetShardPart(step uint32, shard uint16, part tensor.Vector) {
 
 // shardPartLocal returns the replica's own stored part for (step, shard)
 // without a network round trip — the owner's local read during Phase B. The
-// returned vector aliases the store; the single-goroutine sharded round
-// reads it before any later SetShardPart can overwrite it.
+// returned vector aliases the store; the sharded round's stage boundaries
+// put every read before the next round's SetShardPart.
 func (s *Server) shardPartLocal(step uint32, shard uint16) (tensor.Vector, bool) {
 	s.partMu.RLock()
 	defer s.partMu.RUnlock()

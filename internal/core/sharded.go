@@ -1,9 +1,10 @@
 package core
 
 import (
-	"context"
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"garfield/internal/gar"
 	"garfield/internal/rpc"
@@ -48,27 +49,42 @@ import (
 // reassignments); a replica recovered mid-run catches up by adopting the
 // newest live peer's model before its next round (Server.AdoptState).
 type shardedStepper struct {
-	c   *Cluster
-	res *Result
-	obs *Server
+	round
+	stages [][]phase
 
 	coord bool       // coordinate-wise rule: exact coordinate sharding
 	plan  shard.Plan // coordinate partition (coord mode only)
 
 	// Phase A aggregators, one per shard (the shard fixes the input shape:
-	// quorum width for coordinate-wise, group size for hierarchical), and
-	// Phase B root aggregators, one per replica slot (hierarchical only).
-	aggs     map[int]*Aggregator
-	keys     map[int]aggKey
-	rootAggs map[int]*Aggregator
-	rootKeys map[int]aggKey
+	// quorum width for coordinate-wise, group size for hierarchical). The
+	// Phase B root aggregators (hierarchical only) are the round's per-replica
+	// model aggregators.
+	partAggs aggCache
+
+	// Per-round plan, set at the top of Step: the roster, each shard's owner
+	// and aggregator, the worker groups (hierarchical), and the fleet's
+	// newest model step with the address of a replica holding it.
+	ro        Roster
+	live      []int
+	owners    []int
+	aggs      []*Aggregator
+	groups    shard.Plan
+	maxStep   uint32
+	donorAddr string
 
 	// scratch holds each replica's assembly buffer; winners holds each
 	// replica's pulled group winners (hierarchical). Keyed by replica slot,
-	// reused across rounds.
+	// reused across rounds, touched only by that replica's phases.
 	scratch map[int]tensor.Vector
 	winners map[int][]tensor.Vector
 }
+
+// errShardAbort marks a round that must be abandoned, not failed: a quorum
+// miss, an unreachable owner or donor, a torn part. Step turns it into a
+// counted abort; anything else a phase returns is fatal to the run.
+var errShardAbort = errors.New("sharded round aborted")
+
+func abort(err error) error { return fmt.Errorf("%w: %w", errShardAbort, err) }
 
 // RunSharded trains with the sharded-aggregation topology. Requirements:
 // Shards >= 1 (and, for coordinate-wise rules, at most the model dimension;
@@ -76,9 +92,6 @@ type shardedStepper struct {
 // FPS == 0 — reassembly trusts shard owners, so the server tier is
 // crash-only while Byzantine workers stay covered by the GARs.
 func (c *Cluster) RunSharded(opt RunOptions) (*Result, error) {
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
 	cfg := c.cfg
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("%w: sharded topology needs shards >= 1, got %d", ErrConfig, cfg.Shards)
@@ -87,12 +100,21 @@ func (c *Cluster) RunSharded(opt RunOptions) (*Result, error) {
 		return nil, fmt.Errorf("%w: sharded reassembly trusts shard owners: fps must be 0 (crash faults only on the server tier), got %d",
 			ErrConfig, cfg.FPS)
 	}
+	res := newResult("sharded")
 	st := &shardedStepper{
-		c: c, res: newResult("sharded"),
-		coord: gar.CoordinateWise(cfg.Rule),
-		aggs:  make(map[int]*Aggregator), keys: make(map[int]aggKey),
-		rootAggs: make(map[int]*Aggregator), rootKeys: make(map[int]aggKey),
+		round:   round{c: c, res: res, topology: "sharded"},
+		coord:   gar.CoordinateWise(cfg.Rule),
+		owners:  make([]int, cfg.Shards),
+		aggs:    make([]*Aggregator, cfg.Shards),
 		scratch: make(map[int]tensor.Vector), winners: make(map[int][]tensor.Vector),
+	}
+	// Nothing is applied until every assembly is complete and width-checked:
+	// the stage boundary before update is the all-or-abort barrier that rules
+	// out torn (partial-coordinate) model writes.
+	st.stages = [][]phase{
+		{{"catch-up", st.catchUp}, {"shard publish", st.publish}},
+		{{"assemble", st.assemble}},
+		{{"update", st.update}},
 	}
 	if st.coord {
 		plan, err := shard.NewPlan(cfg.Arch.Dim(), cfg.Shards)
@@ -100,355 +122,230 @@ func (c *Cluster) RunSharded(opt RunOptions) (*Result, error) {
 			return nil, fmt.Errorf("%w: sharded: %v", ErrConfig, err)
 		}
 		st.plan = plan
-	} else {
-		// Fast-fail the hierarchical shape: group floors and the root
-		// round's f=0 floor, validated exactly as the local aggregators
-		// will be built.
-		if _, err := shard.NewHierarchical(cfg.Rule, cfg.NW, cfg.FW, cfg.Shards); err != nil {
-			return nil, fmt.Errorf("%w: sharded: %v", ErrConfig, err)
-		}
+	} else if _, err := shard.NewHierarchical(cfg.Rule, cfg.NW, cfg.FW, cfg.Shards); err != nil {
+		// Fast-fail the hierarchical shape: group floors and the root round's
+		// f=0 floor, validated exactly as the local aggregators will be built.
+		return nil, fmt.Errorf("%w: sharded: %v", ErrConfig, err)
 	}
-
-	res := st.res
-	start := c.clock.Now()
-	wire0 := c.WireStats()
-	for i := 0; i < opt.Iterations; i++ {
-		committed, err := st.round(i)
-		if err != nil {
-			return nil, fmt.Errorf("core: sharded iteration %d: %w", i, err)
-		}
-		res.Breakdown.EndIteration()
-		if committed {
-			res.Updates++
-			res.ShardRounds++
-		} else {
-			res.ShardAborts++
-		}
-		// Accuracy is recorded on the committed/aborted model alike, so the
-		// artifact curve keeps one point per schedule slot whatever the
-		// fault pattern — the bit-identical sweep contract needs a stable
-		// shape.
-		if err := c.recordAccuracy(res, st.obs, opt, i, start); err != nil {
-			return nil, err
-		}
-	}
-	res.WallTime = c.clock.Now().Sub(start)
-	res.Wire = c.WireStats().Sub(wire0)
-	return res, nil
-}
-
-// liveReplicas returns the active, non-crashed replica slots in roster
-// order. With FPS == 0 every live replica is honest and drivable.
-func (st *shardedStepper) liveReplicas(ro Roster) []int {
-	live := make([]int, 0, len(ro.Servers))
-	for _, r := range ro.Servers {
-		if !st.c.serverCrashed(r) {
-			live = append(live, r)
-		}
-	}
-	return live
+	return c.driveSteps(res, st, opt)
 }
 
 // ownerOf resolves shard k's owner: the preferred replica is roster slot
 // k mod nps, and a crashed preference fails over to the next live replica in
 // rotation. Deterministic in (roster, crash set), so every replica derives
-// the same ownership map without coordination.
-func (st *shardedStepper) ownerOf(ro Roster, k int) (owner int, failedOver, ok bool) {
-	n := len(ro.Servers)
-	for off := 0; off < n; off++ {
-		r := ro.Servers[(k+off)%n]
-		if !st.c.serverCrashed(r) {
-			return r, off > 0, true
+// the same ownership map without coordination. st.live must be non-empty.
+func (st *shardedStepper) ownerOf(k int) (owner int, failedOver bool) {
+	n := len(st.ro.Servers)
+	for off := 0; ; off++ {
+		if r := st.ro.Servers[(k+off)%n]; slices.Contains(st.live, r) {
+			return r, off > 0
 		}
 	}
-	return 0, false, false
 }
 
-// catchUp brings lagging live replicas (recovered after missing committed
-// rounds) onto the fleet's newest model: each laggard pulls the model of the
-// first replica at the maximum step through its own client and adopts it
-// wholesale. Returns false — abort the round — when a pull fails.
-func (st *shardedStepper) catchUp(ctx context.Context, live []int) (bool, error) {
-	c := st.c
-	maxStep, donor := uint32(0), -1
-	for _, r := range live {
-		if s := c.Server(r).Step(); donor < 0 || s > maxStep {
-			maxStep, donor = s, r
-		}
-	}
-	donorAddr := c.ServerAddr(donor)
-	for _, r := range live {
-		s := c.Server(r)
-		if r == donor || s.Step() == maxStep {
-			continue
-		}
-		vec, err := s.client.Call(ctx, donorAddr, rpc.Request{Kind: rpc.KindGetModel, Step: maxStep})
-		if err != nil {
-			return false, nil // donor unreachable: abort, retry next round
-		}
-		if err := s.AdoptState(vec, maxStep); err != nil {
-			return false, err
-		}
-	}
-	return true, nil
-}
-
-// round executes one sharded round. committed reports whether the round's
-// update was applied (false: aborted cleanly, no replica wrote its model);
-// a non-nil error is fatal to the run (configuration or rule failures, not
-// transient network faults).
-func (st *shardedStepper) round(i int) (committed bool, err error) {
+// Step plans one sharded round — live replicas, ownership, per-shard and root
+// aggregators, the catch-up target — and runs it. applied reports whether
+// the round's update was written (false: aborted cleanly, no replica wrote
+// its model); a non-nil error is fatal to the run (configuration or rule
+// failures, not transient network faults).
+func (st *shardedStepper) Step(i int) (bool, error) {
 	c, cfg := st.c, st.c.cfg
-	ro := c.Roster()
-	live := st.liveReplicas(ro)
-	if len(live) == 0 {
-		return false, fmt.Errorf("%w: all %d replicas crashed or departed", ErrConfig, len(ro.Servers))
+	st.ro = c.Roster()
+	ro := st.ro
+	st.live = c.liveServers(ro, st.live[:0])
+	if len(st.live) == 0 {
+		return false, fmt.Errorf("%w: sharded iteration %d: all %d replicas crashed or departed", ErrConfig, i, len(ro.Servers))
 	}
-	st.obs = c.Server(live[0])
-	S := cfg.Shards
-
-	ctx, cancel := context.WithTimeout(context.Background(), cfg.PullTimeout)
-	defer cancel()
-
-	if ok, err := st.catchUp(ctx, live); !ok || err != nil {
-		return false, err
+	st.drive(st.live)
+	st.qw = ro.NW()
+	if !cfg.SyncQuorum && st.coord {
+		st.qw = ro.NW() - ro.FW
 	}
 
-	owners := make([]int, S)
-	for k := 0; k < S; k++ {
-		o, failedOver, ok := st.ownerOf(ro, k)
-		if !ok {
-			return false, fmt.Errorf("%w: no live replica to own shard %d", ErrConfig, k)
+	// A replica recovered after missing committed rounds lags the fleet; its
+	// catch-up phase adopts the model of the first replica at the newest step.
+	st.maxStep = 0
+	for k, r := range st.replicas {
+		if step := r.s.Step(); k == 0 || step > st.maxStep {
+			st.maxStep, st.donorAddr = step, c.ServerAddr(r.idx)
 		}
-		owners[k] = o
-		if failedOver {
+	}
+
+	var err error
+	rootF := 0
+	if !st.coord {
+		if st.groups, err = shard.NewGroups(ro.NW(), cfg.Shards); err != nil {
+			return false, fmt.Errorf("%w: sharded: %v", ErrConfig, err)
+		}
+		if rootF, err = shard.RootF(cfg.Rule, cfg.Shards); err != nil {
+			return false, fmt.Errorf("%w: sharded: %v", ErrConfig, err)
+		}
+	}
+	for k := range st.owners {
+		var failedOver bool
+		if st.owners[k], failedOver = st.ownerOf(k); failedOver {
 			st.res.ShardFailovers++
 		}
-	}
-
-	// Phase A: owners pull, aggregate and publish their parts.
-	if st.coord {
-		if ok, err := st.phaseACoord(ctx, ro, owners, i); !ok || err != nil {
-			return false, err
+		n := st.qw
+		if !st.coord {
+			glo, ghi := st.groups.Range(k)
+			n = ghi - glo
 		}
-	} else {
-		if ok, err := st.phaseAHier(ctx, ro, owners, i); !ok || err != nil {
-			return false, err
+		if st.aggs[k], err = st.partAggs.get(k, cfg.Rule, n, ro.FW); err != nil {
+			return false, fmt.Errorf("core: sharded: %w", err)
 		}
 	}
+	d := cfg.Arch.Dim()
+	for k := range st.replicas {
+		r := &st.replicas[k]
+		st.scratch[r.idx] = tensor.Resize(st.scratch[r.idx], d)
+		if !st.coord {
+			if r.modelAgg, err = st.modelAggs.get(r.idx, cfg.Rule, cfg.Shards, rootF); err != nil {
+				return false, fmt.Errorf("core: sharded: %w", err)
+			}
+			if st.winners[r.idx] == nil {
+				st.winners[r.idx] = make([]tensor.Vector, 0, cfg.Shards)
+			}
+		}
+	}
 
-	// Phase B: every live replica collects all parts and assembles the full
-	// update. Nothing is applied until every assembly is complete and
-	// width-checked — the all-or-abort barrier that rules out torn
-	// (partial-coordinate) model writes.
-	assembled := make([]tensor.Vector, len(live))
-	for idx, r := range live {
-		var (
-			vec tensor.Vector
-			ok  bool
-		)
+	switch err = st.run(i, st.stages); {
+	case err == nil:
+		st.res.ShardRounds++
+		return true, nil
+	case errors.Is(err, errShardAbort):
+		st.res.ShardAborts++
+		return false, nil
+	}
+	return false, err
+}
+
+// catchUp brings a lagging replica onto the fleet's newest model: it pulls
+// the donor's model through its own client and adopts it wholesale. An
+// unreachable donor aborts the round; the next one retries.
+func (st *shardedStepper) catchUp(k int) error {
+	s := st.replicas[k].s
+	if s.Step() == st.maxStep {
+		return nil
+	}
+	vec, err := s.client.Call(st.ctx, st.donorAddr, rpc.Request{Kind: rpc.KindGetModel, Step: st.maxStep})
+	if err != nil {
+		return abort(err)
+	}
+	return s.AdoptState(vec, st.maxStep)
+}
+
+// publish is Phase A at replica k: for every shard it owns, pull, aggregate
+// and publish the part. A coordinate-wise rule pulls the [lo, hi) slice of a
+// worker quorum and aggregates it with the flat rule restricted to those
+// coordinates — exactly the flat aggregation's arithmetic on that slice,
+// which is what makes reassembly bit-identical. A selection rule pulls full
+// gradients from the shard's worker group only and runs the rule locally,
+// tolerating up to FW Byzantine members (the declared-Byzantine workers are
+// the roster's last FW, so whatever groups they land in stay within the
+// per-group budget the drift bounds assume).
+func (st *shardedStepper) publish(k int) error {
+	r := &st.replicas[k]
+	for j, owner := range st.owners {
+		if owner != r.idx {
+			continue
+		}
+		var p pullReq
 		if st.coord {
-			vec, ok, err = st.assembleCoord(ctx, r, owners, i, idx == 0)
+			lo, hi := st.plan.Range(j)
+			p = r.s.gradientsRangeReq(st.iter, st.qw, uint16(j), lo, hi)
 		} else {
-			vec, ok, err = st.assembleHier(ctx, ro, r, owners, i, idx == 0)
+			glo, ghi := st.groups.Range(j)
+			p = r.s.gradientsFromReq(st.iter, st.ro.WorkerAddrs[glo:ghi], ghi-glo)
 		}
-		if !ok || err != nil {
-			return false, err
+		part, err := r.s.pullAggregate(st.ctx, p, st.aggs[j], st.c.clock, st.observe(k))
+		if errors.Is(err, rpc.ErrQuorum) {
+			return abort(err) // no part published
 		}
-		assembled[idx] = vec
+		if err != nil {
+			return err // rule failure on a full quorum is a bug, not a fault
+		}
+		r.s.SetShardPart(uint32(st.iter), uint16(j), part)
 	}
-	for idx, r := range live {
-		if err := c.Server(r).UpdateModel(assembled[idx]); err != nil {
-			return false, err
-		}
-	}
-	return true, nil
+	return nil
 }
 
-// phaseACoord runs Phase A for a coordinate-wise rule: shard k's owner pulls
-// the [lo_k, hi_k) slice of a full worker quorum and aggregates it with the
-// flat rule restricted to those coordinates — exactly the flat aggregation's
-// arithmetic on that slice, which is what makes reassembly bit-identical.
-func (st *shardedStepper) phaseACoord(ctx context.Context, ro Roster, owners []int, i int) (bool, error) {
-	c, cfg := st.c, st.c.cfg
-	qw := ro.NW()
-	if !cfg.SyncQuorum {
-		qw = ro.NW() - ro.FW
-	}
-	for k := range owners {
-		agg, err := st.shardAggregator(k, cfg.Rule, qw, ro.FW)
-		if err != nil {
-			return false, err
+// assemble is Phase B at replica k: collect all S parts and build the full
+// update in the replica's scratch buffer, left in replica.vec for the update
+// stage. Coordinate parts are laid side by side: the buffer is pre-filled
+// with NaN and every part's width is checked against its shard range before
+// the copy, so an incomplete or torn reassembly can never masquerade as a
+// full update — the final NaN sweep is the tripwire (shard ranges tile
+// [0, d), so a fully collected round leaves no NaN behind). Group winners go
+// through the root selection round instead — every replica derives the
+// identical root output from the identical winner set, which is what keeps
+// the replicas' models in lockstep without a model-exchange phase — and the
+// output lands in scratch because the root aggregator's buffer is reused.
+func (st *shardedStepper) assemble(k int) error {
+	r := &st.replicas[k]
+	buf := st.scratch[r.idx]
+	d := len(buf)
+	ws := st.winners[r.idx][:0]
+	if st.coord {
+		nan := math.NaN()
+		for j := range buf {
+			buf[j] = nan
 		}
-		s := c.Server(owners[k])
-		lo, hi := st.plan.Range(k)
-		commDone := c.phaseTimer()
-		grads, err := s.GetGradientsRange(ctx, i, qw, uint16(k), lo, hi)
-		st.res.Breakdown.AddComm(commDone())
-		if err != nil {
-			return false, nil // quorum miss: abort, no part published
-		}
-		aggDone := c.phaseTimer()
-		part, err := agg.Aggregate(grads)
-		st.res.Breakdown.AddAgg(aggDone())
-		if err != nil {
-			return false, err // rule failure on a full quorum is a bug, not a fault
-		}
-		s.SetShardPart(uint32(i), uint16(k), part)
 	}
-	return true, nil
-}
-
-// phaseAHier runs Phase A for a selection rule: shard k's owner pulls full
-// gradients from group k's workers only and runs the rule locally over the
-// group, tolerating up to FW Byzantine members (the declared-Byzantine
-// workers are the roster's last FW, so whatever groups they land in stay
-// within the per-group budget the drift bounds assume).
-func (st *shardedStepper) phaseAHier(ctx context.Context, ro Roster, owners []int, i int) (bool, error) {
-	c, cfg := st.c, st.c.cfg
-	groups, err := shard.NewGroups(ro.NW(), len(owners))
-	if err != nil {
-		return false, fmt.Errorf("%w: sharded: %v", ErrConfig, err)
-	}
-	for k := range owners {
-		glo, ghi := groups.Range(k)
-		agg, err := st.shardAggregator(k, cfg.Rule, ghi-glo, ro.FW)
-		if err != nil {
-			return false, err
+	for j, owner := range st.owners {
+		lo, hi := 0, d
+		if st.coord {
+			lo, hi = st.plan.Range(j)
 		}
-		s := c.Server(owners[k])
-		commDone := c.phaseTimer()
-		grads, err := s.GetGradientsFrom(ctx, i, ro.WorkerAddrs[glo:ghi], ghi-glo)
-		st.res.Breakdown.AddComm(commDone())
+		part, err := st.collectPart(k, owner, uint16(j), lo, hi)
 		if err != nil {
-			return false, nil // group quorum miss: abort
-		}
-		aggDone := c.phaseTimer()
-		winner, err := agg.Aggregate(grads)
-		st.res.Breakdown.AddAgg(aggDone())
-		if err != nil {
-			return false, err
-		}
-		s.SetShardPart(uint32(i), uint16(k), winner)
-	}
-	return true, nil
-}
-
-// shardAggregator returns shard k's cached Phase A aggregator, rebuilt only
-// when the shape under it changes (a roster transition between rounds).
-func (st *shardedStepper) shardAggregator(k int, rule string, n, f int) (*Aggregator, error) {
-	slot, key := st.aggs[k], st.keys[k]
-	agg, err := cachedAggregator(&slot, &key, rule, n, f)
-	if err != nil {
-		return nil, err
-	}
-	st.aggs[k], st.keys[k] = slot, key
-	return agg, nil
-}
-
-// assembleCoord collects all S coordinate parts at replica r and lays them
-// into the replica's scratch buffer. The buffer is pre-filled with NaN and
-// every part's width is checked against its shard range before the copy, so
-// an incomplete or torn reassembly can never masquerade as a full update:
-// the final NaN sweep is the tripwire (shard ranges tile [0, d), so a fully
-// collected round leaves no NaN behind).
-func (st *shardedStepper) assembleCoord(ctx context.Context, r int, owners []int, i int, record bool) (tensor.Vector, bool, error) {
-	c := st.c
-	d := st.plan.Dim()
-	buf := tensor.Resize(st.scratch[r], d)
-	st.scratch[r] = buf
-	nan := math.NaN()
-	for j := range buf {
-		buf[j] = nan
-	}
-	sr := c.Server(r)
-	for k, owner := range owners {
-		lo, hi := st.plan.Range(k)
-		part, ok, err := st.collectPart(ctx, sr, r, owner, uint32(i), uint16(k), lo, hi, record)
-		if !ok || err != nil {
-			return nil, false, err
+			return err
 		}
 		if len(part) != hi-lo {
-			return nil, false, nil // torn part: abort before any write
+			return abort(fmt.Errorf("torn part %d: width %d, want %d", j, len(part), hi-lo))
 		}
-		copy(buf[lo:hi], part)
-	}
-	for j := range buf {
-		if buf[j] != buf[j] {
-			return nil, false, fmt.Errorf("reassembly left coordinate %d unwritten at replica %d", j, r)
+		if st.coord {
+			copy(buf[lo:hi], part)
+		} else {
+			ws = append(ws, part)
 		}
 	}
-	return buf, true, nil
+	if st.coord {
+		for j := range buf {
+			if buf[j] != buf[j] {
+				return fmt.Errorf("reassembly left coordinate %d unwritten", j)
+			}
+		}
+	} else {
+		t0 := st.c.clock.Now()
+		out, err := r.modelAgg.Aggregate(ws)
+		st.observe(k).AddAgg(st.c.clock.Now().Sub(t0))
+		if err != nil {
+			return err
+		}
+		copy(buf, out)
+	}
+	r.vec = buf
+	return nil
 }
 
-// assembleHier collects the S group winners at replica r and runs the root
-// selection round over them — every replica derives the identical root
-// output from the identical winner set, which is what keeps the replicas'
-// models in lockstep without a model-exchange phase.
-func (st *shardedStepper) assembleHier(ctx context.Context, ro Roster, r int, owners []int, i int, record bool) (tensor.Vector, bool, error) {
-	c, cfg := st.c, st.c.cfg
-	d := cfg.Arch.Dim()
-	rootF, err := shard.RootF(cfg.Rule, len(owners))
-	if err != nil {
-		return nil, false, fmt.Errorf("%w: sharded: %v", ErrConfig, err)
-	}
-	rootSlot, rootKey := st.rootAggs[r], st.rootKeys[r]
-	rootAgg, err := cachedAggregator(&rootSlot, &rootKey, cfg.Rule, len(owners), rootF)
-	if err != nil {
-		return nil, false, err
-	}
-	st.rootAggs[r], st.rootKeys[r] = rootSlot, rootKey
-
-	ws := st.winners[r][:0]
-	sr := c.Server(r)
-	for k, owner := range owners {
-		part, ok, err := st.collectPart(ctx, sr, r, owner, uint32(i), uint16(k), 0, d, record)
-		if !ok || err != nil {
-			return nil, false, err
-		}
-		if len(part) != d {
-			return nil, false, nil // torn winner: abort
-		}
-		ws = append(ws, part)
-	}
-	st.winners[r] = ws
-	aggDone := c.phaseTimer()
-	out, err := rootAgg.Aggregate(ws)
-	if record {
-		st.res.Breakdown.AddAgg(aggDone())
-	}
-	if err != nil {
-		return nil, false, err
-	}
-	// Land the root output in the replica's own scratch: the root
-	// aggregator's buffer is reused next round, and the commit loop applies
-	// every replica's assembly only after all are collected.
-	buf := tensor.Resize(st.scratch[r], d)
-	st.scratch[r] = buf
-	copy(buf, out)
-	return buf, true, nil
-}
-
-// collectPart fetches one part at replica r: a local store read when r owns
-// the shard, a KindGetShardPart pull from the owner otherwise. ok == false
-// with a nil error means the part is unavailable (owner crashed mid-round,
-// pull failed, stale step) — an abort, not a failure.
-func (st *shardedStepper) collectPart(ctx context.Context, sr *Server, r, owner int, step uint32, k uint16, lo, hi int, record bool) (tensor.Vector, bool, error) {
-	c := st.c
-	if owner == r {
-		part, ok := sr.shardPartLocal(step, k)
+// collectPart fetches one part at replica k: a local store read when it owns
+// the shard, a KindGetShardPart pull from the owner otherwise. An unavailable
+// part (owner crashed mid-round, pull failed, stale step) aborts the round.
+func (st *shardedStepper) collectPart(k, owner int, shard uint16, lo, hi int) (tensor.Vector, error) {
+	r := &st.replicas[k]
+	if owner == r.idx {
+		part, ok := r.s.shardPartLocal(uint32(st.iter), shard)
 		if !ok {
-			return nil, false, nil
+			return nil, abort(fmt.Errorf("own part %d missing", shard))
 		}
-		return part, true, nil
+		return part, nil
 	}
-	commDone := c.phaseTimer()
-	part, err := sr.GetShardPart(ctx, c.ServerAddr(owner), step, k, lo, hi)
-	if record {
-		st.res.Breakdown.AddComm(commDone())
-	}
+	t0 := st.c.clock.Now()
+	part, err := r.s.GetShardPart(st.ctx, st.c.ServerAddr(owner), uint32(st.iter), shard, lo, hi)
+	st.observe(k).AddComm(st.c.clock.Now().Sub(t0))
 	if err != nil {
-		return nil, false, nil
+		return nil, abort(err)
 	}
-	return part, true, nil
+	return part, nil
 }

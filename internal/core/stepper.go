@@ -4,52 +4,48 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	"garfield/internal/gar"
+	"garfield/internal/metrics"
 	"garfield/internal/tensor"
 )
 
 // Stepper is the per-round protocol state machine, decoupled from the run
-// loop that drives it. Step(i) executes iteration i — pulls, aggregation,
-// model updates, whatever the topology's round consists of — and Observed
-// returns the replica accuracy is measured at after the step. Extracting
-// the state machine behind this interface is what lets one loop
-// (driveSteps) serve both execution engines: the live runner drives
-// steppers over goroutine-per-node RPC and the wall clock, the
-// discrete-event simulator drives the same steppers over direct
-// virtual-time dispatch.
+// loop that drives it. Step(i) executes iteration i and Observed returns the
+// replica accuracy is measured at after the step. One loop (driveSteps)
+// serves both execution engines: the live wiring and the discrete-event
+// simulator drive the same steppers.
 type Stepper interface {
-	// Step executes iteration i and returns the round's root-cause error.
-	Step(i int) error
+	// Step executes iteration i. applied reports whether the round wrote a
+	// model update: true whenever err is nil, except for a sharded round
+	// that aborted cleanly.
+	Step(i int) (applied bool, err error)
 	// Observed returns the replica the run's accuracy is measured at —
 	// valid after a successful Step.
 	Observed() *Server
 }
 
-// phaseTimer starts a per-phase duration measurement on the cluster's clock
-// and returns its stop function. Under the simulator wiring the measured
-// spans are virtual time, so phase breakdowns are deterministic per seed
-// instead of scheduler noise.
-func (c *Cluster) phaseTimer() func() time.Duration {
-	start := c.clock.Now()
-	return func() time.Duration { return c.clock.Now().Sub(start) }
-}
-
 // driveSteps is the engine-agnostic run loop shared by every lockstep
 // protocol runner: one Step, one throughput tick and one accuracy check per
-// iteration, all measured on the cluster's clock. Whether the stepper
-// underneath fans out goroutines over real RPC or advances a virtual clock
-// over direct dispatch is invisible from here.
+// iteration, all measured on the cluster's clock. Accuracy is recorded after
+// applied and aborted rounds alike, so the curve keeps one point per
+// schedule slot whatever the fault pattern — the bit-identical sweep
+// contract needs a stable shape.
 func (c *Cluster) driveSteps(res *Result, st Stepper, opt RunOptions) (*Result, error) {
+	if err := opt.validate(); err != nil {
+		return nil, err
+	}
 	start := c.clock.Now()
 	wire0 := c.WireStats()
 	for i := 0; i < opt.Iterations; i++ {
-		if err := st.Step(i); err != nil {
+		applied, err := st.Step(i)
+		if err != nil {
 			return nil, err
 		}
 		res.Breakdown.EndIteration()
-		res.Updates++
+		if applied {
+			res.Updates++
+		}
 		if err := c.recordAccuracy(res, st.Observed(), opt, i, start); err != nil {
 			return nil, err
 		}
@@ -59,295 +55,343 @@ func (c *Cluster) driveSteps(res *Result, st Stepper, opt RunOptions) (*Result, 
 	return res, nil
 }
 
+// A round is an ordered list of phases run over the replicas a topology
+// drives. A phase is one step of the paper's listings at one replica — pull
+// gradients and aggregate, update_model, pull models and aggregate,
+// write_model — and a stage is a run of consecutive phases with no
+// cross-replica dependency: replica a may be anywhere inside a stage while
+// replica b is anywhere else inside it, but nobody enters stage k+1 before
+// everybody left stage k. Steppers bind their stage lists once, at
+// construction; round.run is the only scheduler.
+type phase struct {
+	name string
+	run  func(k int) error // k indexes round.replicas
+}
+
+// replica is the per-round state of one driven replica.
+type replica struct {
+	idx               int // stable replica slot (Cluster.Server index)
+	s                 *Server
+	gradAgg, modelAgg *Aggregator
+	// vec carries a value from the phase that produced it to the phase that
+	// consumes it: the aggregated gradient on its way to update, the
+	// aggregated model on its way to write. It aliases an Aggregator's (or
+	// the sharded stepper's) per-replica buffer, never shared state.
+	vec tensor.Vector
+}
+
+// round is the state every lockstep stepper embeds: what is being run, the
+// replicas of the current iteration and its quorums (set by the stepper at
+// the top of Step), and the shared phase functions over them. replicas[0] is
+// the observed replica — the only one whose timings feed the breakdown.
+type round struct {
+	c        *Cluster
+	res      *Result
+	topology string
+
+	iter     int
+	ctx      context.Context
+	qw, qps  int
+	replicas []replica
+
+	// Per-replica-slot aggregator caches behind bind.
+	gradAggs, modelAggs aggCache
+
+	wg   sync.WaitGroup
+	errs []error
+}
+
+func (rd *round) Observed() *Server { return rd.replicas[0].s }
+
+// drive makes the given replica slots the round's replica set.
+func (rd *round) drive(slots []int) {
+	rd.replicas = rd.replicas[:0]
+	for _, r := range slots {
+		rd.replicas = append(rd.replicas, replica{idx: r, s: rd.c.Server(r)})
+	}
+}
+
+// bind resolves every replica's aggregators for the round's quorums: rule
+// over q_w inputs tolerating fw and, when modelRule is set, modelRule over
+// q_ps inputs tolerating fps. A failure is an infeasible rule for the current
+// roster shape.
+func (rd *round) bind(rule string, fw int, modelRule string, fps int) error {
+	for k := range rd.replicas {
+		r := &rd.replicas[k]
+		var err error
+		if r.gradAgg, err = rd.gradAggs.get(r.idx, rule, rd.qw, fw); err == nil && modelRule != "" {
+			r.modelAgg, err = rd.modelAggs.get(r.idx, modelRule, rd.qps, fps)
+		}
+		if err != nil {
+			return fmt.Errorf("core: %s: %w", rd.topology, err)
+		}
+	}
+	return nil
+}
+
+// run executes iteration i's stages over the replica set under one pull
+// deadline, in one of two loop nestings. Deterministic mode — and any
+// one-replica round — runs phase-major on the caller's goroutine: every
+// replica finishes a phase, in replica order, before any starts the next,
+// which is each stage's barrier expressed as program order and the only
+// schedule a virtual clock can drive reproducibly. Otherwise every stage
+// fans out one goroutine per replica and wg.Wait is the barrier between
+// stages. Either way the first failure (in replica order) ends the round:
+// no later stage runs, no goroutine outlives the call, and the error names
+// the topology, iteration, replica and phase once, here.
+func (rd *round) run(i int, stages [][]phase) error {
+	ctx, cancel := context.WithTimeout(context.Background(), rd.c.cfg.PullTimeout)
+	defer cancel()
+	rd.iter, rd.ctx = i, ctx
+	if rd.c.cfg.Deterministic || len(rd.replicas) == 1 {
+		for _, stage := range stages {
+			for _, ph := range stage {
+				for k := range rd.replicas {
+					if err := ph.run(k); err != nil {
+						return rd.fail(k, ph, err)
+					}
+				}
+			}
+		}
+		return nil
+	}
+	for _, stage := range stages {
+		rd.errs = append(rd.errs[:0], make([]error, len(rd.replicas))...)
+		for k := range rd.replicas {
+			rd.wg.Add(1)
+			go func(k int) {
+				defer rd.wg.Done()
+				for _, ph := range stage {
+					if err := ph.run(k); err != nil {
+						rd.errs[k] = rd.fail(k, ph, err)
+						return
+					}
+				}
+			}(k)
+		}
+		rd.wg.Wait()
+		for _, err := range rd.errs {
+			if err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+func (rd *round) fail(k int, ph phase, err error) error {
+	return fmt.Errorf("core: %s iteration %d replica %d %s: %w", rd.topology, rd.iter, rd.replicas[k].idx, ph.name, err)
+}
+
+// observe returns the breakdown for the observed replica and nil — do not
+// time — for the rest.
+func (rd *round) observe(k int) *metrics.Breakdown {
+	if k == 0 {
+		return rd.res.Breakdown
+	}
+	return nil
+}
+
+func (rd *round) pullInto(k int, p pullReq, agg *Aggregator) error {
+	r := &rd.replicas[k]
+	var err error
+	r.vec, err = r.s.pullAggregate(rd.ctx, p, agg, rd.c.clock, rd.observe(k))
+	return err
+}
+
+// The phases of Listings 1-3. gradients, contractPull and models leave their
+// aggregate in replica.vec; update, publish and write consume it.
+
+func (rd *round) gradients(k int) error {
+	r := &rd.replicas[k]
+	return rd.pullInto(k, r.s.gradientsReq(rd.iter, rd.qw), r.gradAgg)
+}
+
+func (rd *round) update(k int) error { return rd.replicas[k].s.UpdateModel(rd.replicas[k].vec) }
+
+func (rd *round) models(k int) error {
+	r := &rd.replicas[k]
+	return rd.pullInto(k, r.s.modelsReq(rd.qps), r.modelAgg)
+}
+
+func (rd *round) write(k int) error { return rd.replicas[k].s.WriteModel(rd.replicas[k].vec) }
+
+// publish and contractPull are one round of Listing 3's contract step
+// (lines 16-21): publish the aggregated gradient, pull the peers' and
+// re-aggregate with the gradient rule (the pulled set has the gradient set's
+// shape). SetLatestAggrGrad clones, so the re-aggregation may overwrite the
+// rule's buffer.
+func (rd *round) publish(k int) error {
+	rd.replicas[k].s.SetLatestAggrGrad(rd.replicas[k].vec)
+	return nil
+}
+
+func (rd *round) contractPull(k int) error {
+	r := &rd.replicas[k]
+	return rd.pullInto(k, r.s.aggrGradsReq(rd.qps), r.gradAgg)
+}
+
 // singleServerStepper is the round of the single-server topologies (vanilla,
 // SSMW, AggregaThor): the roster's first replica pulls a full worker quorum,
 // aggregates with the topology's rule and applies the update. The roster is
-// re-read every step, so mid-run joins/leaves take effect at the next round,
-// and the aggregator rebuilds only when the fleet shape changes.
+// re-read every step, so mid-run joins/leaves take effect at the next round.
 type singleServerStepper struct {
-	c      *Cluster
-	res    *Result
+	round
+	stages [][]phase
 	rule   string
 	robust bool
-	name   string
-	agg    *Aggregator
-	key    aggKey
-	obs    *Server
 }
 
-func (st *singleServerStepper) Step(i int) error {
-	c := st.c
-	ro := c.Roster()
-	s := c.Server(ro.Servers[0])
-	st.obs = s
-	q, f := ro.NW(), 0
+func newSingleServerStepper(c *Cluster, res *Result, rule string, robust bool, name string) *singleServerStepper {
+	st := &singleServerStepper{round: round{c: c, res: res, topology: name}, rule: rule, robust: robust}
+	st.stages = [][]phase{{{"gradients", st.gradients}, {"update", st.update}}}
+	return st
+}
+
+func (st *singleServerStepper) Step(i int) (bool, error) {
+	ro := st.c.Roster()
+	st.drive(ro.Servers[:1])
+	f := 0
 	if st.robust {
 		f = ro.FW
 	}
-	ag, err := cachedAggregator(&st.agg, &st.key, st.rule, q, f)
-	if err != nil {
-		return fmt.Errorf("core: %s: %w", st.name, err)
+	st.qw = ro.NW()
+	if err := st.bind(st.rule, f, "", 0); err != nil {
+		return false, err
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.PullTimeout)
-	commDone := c.phaseTimer()
-	grads, err := s.GetGradients(ctx, i, q)
-	cancel()
-	st.res.Breakdown.AddComm(commDone())
-	if err != nil {
-		return fmt.Errorf("core: %s iteration %d: %w", st.name, i, err)
-	}
-	aggDone := c.phaseTimer()
-	aggr, err := ag.Aggregate(grads)
-	st.res.Breakdown.AddAgg(aggDone())
-	if err != nil {
-		return fmt.Errorf("core: %s iteration %d: %w", st.name, i, err)
-	}
-	return s.UpdateModel(aggr)
+	err := st.run(i, st.stages)
+	return err == nil, err
 }
-
-func (st *singleServerStepper) Observed() *Server { return st.obs }
 
 // crashStepper is the round of the strawman crash-tolerant baseline of
-// Section 6.2: every live replica collects all worker gradients and
-// averages, the primary's failure aborts the run, a backup's does not.
-// Aggregators are cached per replica slot — slots are stable across roster
-// transitions, and a slot's rule rebuilds only when the active worker count
-// changes under it.
+// Section 6.2: every live replica collects all worker gradients and averages
+// them, so a backup's model stays close to the primary's. The primary is the
+// first live replica; its failure aborts the run, a backup's does not.
 type crashStepper struct {
-	c    *Cluster
-	res  *Result
-	aggs map[int]*Aggregator
-	keys map[int]aggKey
-	obs  *Server
+	round
+	stages [][]phase
+	live   []int
 }
 
-func (st *crashStepper) Step(i int) error {
+func newCrashStepper(c *Cluster, res *Result) *crashStepper {
+	st := &crashStepper{round: round{c: c, res: res, topology: "crash-tolerant"}}
+	st.stages = [][]phase{{{"gradients+update", st.average}}}
+	return st
+}
+
+// average is gradients then update at replica k. A backup that fails its
+// round falls a step behind, which the strawman accepts (Section 6.2), so
+// only the primary's error is reported.
+func (st *crashStepper) average(k int) error {
+	err := st.gradients(k)
+	if err == nil {
+		err = st.update(k)
+	}
+	if k != 0 {
+		return nil
+	}
+	return err
+}
+
+func (st *crashStepper) Step(i int) (bool, error) {
 	c := st.c
 	ro := c.Roster()
-	p, ok := c.primary()
-	if !ok {
-		return fmt.Errorf("core: crash-tolerant: all %d replicas crashed or departed", c.Servers())
+	st.live = c.liveServers(ro, st.live[:0])
+	if len(st.live) == 0 {
+		return false, fmt.Errorf("core: crash-tolerant: all %d replicas crashed or departed", c.Servers())
 	}
-	st.obs = c.Server(p)
-	// Every live replica performs the averaging step so a backup's model
-	// stays close to the primary's.
-	var wg sync.WaitGroup
-	errs := make([]error, len(ro.Servers))
-	var pErr *error
-	for k, r := range ro.Servers {
-		if c.serverCrashed(r) {
-			continue
-		}
-		slot, key := st.aggs[r], st.keys[r]
-		agg, err := cachedAggregator(&slot, &key, gar.NameAverage, ro.NW(), 0)
-		if err != nil {
-			return fmt.Errorf("core: crash-tolerant: %w", err)
-		}
-		st.aggs[r], st.keys[r] = slot, key
-		k, r := k, r
-		if r == p {
-			pErr = &errs[k]
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[k] = c.crashStep(st.res, agg, r, i, ro.NW(), r == p)
-		}()
+	st.drive(st.live)
+	st.qw = ro.NW()
+	if err := st.bind(gar.NameAverage, 0, "", 0); err != nil {
+		return false, err
 	}
-	wg.Wait()
-	if pErr != nil && *pErr != nil {
-		return fmt.Errorf("core: crash-tolerant iteration %d: %w", i, *pErr)
-	}
-	return nil
+	err := st.run(i, st.stages)
+	return err == nil, err
 }
 
-func (st *crashStepper) Observed() *Server { return st.obs }
-
 // msmwStepper is the round of the multi-server multi-worker application of
-// Listing 2. It has two schedules with identical semantics: the concurrent
-// one fans a goroutine per honest replica (barrier-free — the default
-// execution whose timing the throughput experiments measure), and the
-// lockstep one runs the replicas in explicit phase order on one goroutine.
-// Deterministic mode uses the lockstep schedule: it is the barrier
-// alignment of the concurrent path expressed as program order, and the only
-// schedule a virtual clock can drive reproducibly — so live deterministic
-// runs and simulated runs share the exact same code path.
+// Listing 2, one stage end to end: every honest replica collects q_w
+// gradients, robust-aggregates and updates, then (on contraction rounds)
+// pulls q_ps peer models, robust-aggregates those and overwrites its state —
+// barrier-free when run concurrently, exactly as a real deployment, with the
+// quorums doing the aligning. Byzantine replicas need no training loop: their
+// adversarial behaviour lives in how they answer pulls.
 type msmwStepper struct {
-	c         *Cluster
-	res       *Result
-	gradAggs  map[int]*Aggregator
-	gradKeys  map[int]aggKey
-	modelAggs map[int]*Aggregator
-	modelKeys map[int]aggKey
-	obs       *Server
+	round
+	stages, gradOnly [][]phase
 }
 
 func newMSMWStepper(c *Cluster, res *Result) *msmwStepper {
-	return &msmwStepper{
-		c: c, res: res,
-		gradAggs: make(map[int]*Aggregator), gradKeys: make(map[int]aggKey),
-		modelAggs: make(map[int]*Aggregator), modelKeys: make(map[int]aggKey),
-	}
+	st := &msmwStepper{round: round{c: c, res: res, topology: "msmw"}}
+	all := []phase{{"gradients", st.gradients}, {"update", st.update}, {"models", st.models}, {"write", st.write}}
+	st.stages, st.gradOnly = [][]phase{all}, [][]phase{all[:2]}
+	return st
 }
 
-func (st *msmwStepper) Step(i int) error {
-	c, cfg := st.c, st.c.cfg
-	ro := c.Roster()
+func (st *msmwStepper) Step(i int) (bool, error) {
+	cfg := st.c.cfg
+	ro := st.c.Roster()
 	honest := ro.HonestServers()
 	if len(honest) == 0 {
-		return fmt.Errorf("%w: msmw iteration %d: no honest replicas left", ErrConfig, i)
+		return false, fmt.Errorf("%w: msmw iteration %d: no honest replicas left", ErrConfig, i)
 	}
-	st.obs = c.Server(honest[0])
-	qw, qps := ro.NW()-ro.FW, ro.NPS()-ro.FPS
+	st.drive(honest)
+	st.qw, st.qps = ro.NW()-ro.FW, ro.NPS()-ro.FPS
 	if cfg.SyncQuorum {
-		qw, qps = ro.NW(), ro.NPS()
+		st.qw, st.qps = ro.NW(), ro.NPS()
 	}
-	// Per-slot aggregator caches: replica indices are stable across roster
-	// transitions, and a slot's rules rebuild only when the quorum shape
-	// changes under it (a join/leave between rounds).
-	gradAgg := make([]*Aggregator, len(honest))
-	modelAgg := make([]*Aggregator, len(honest))
-	for k, r := range honest {
-		gradSlot, gradKey := st.gradAggs[r], st.gradKeys[r]
-		ga, err := cachedAggregator(&gradSlot, &gradKey, cfg.Rule, qw, ro.FW)
-		if err != nil {
-			return fmt.Errorf("core: msmw: %w", err)
-		}
-		st.gradAggs[r], st.gradKeys[r] = gradSlot, gradKey
-		modelSlot, modelKey := st.modelAggs[r], st.modelKeys[r]
-		ma, err := cachedAggregator(&modelSlot, &modelKey, cfg.ModelRule, qps, ro.FPS)
-		if err != nil {
-			return fmt.Errorf("core: msmw: %w", err)
-		}
-		st.modelAggs[r], st.modelKeys[r] = modelSlot, modelKey
-		gradAgg[k], modelAgg[k] = ga, ma
+	if err := st.bind(cfg.Rule, ro.FW, cfg.ModelRule, ro.FPS); err != nil {
+		return false, err
 	}
-	if cfg.Deterministic {
-		return st.stepLockstep(i, honest, gradAgg, modelAgg, qw, qps)
-	}
-	return st.stepConcurrent(i, honest, gradAgg, modelAgg, qw, qps)
-}
-
-func (st *msmwStepper) Observed() *Server { return st.obs }
-
-// stepConcurrent drives the honest replicas concurrently; Byzantine
-// replicas do not need a training loop — their adversarial behaviour lives
-// in how they answer pulls (attack-corrupted models).
-func (st *msmwStepper) stepConcurrent(i int, honest []int, gradAgg, modelAgg []*Aggregator, qw, qps int) error {
-	c := st.c
-	var wg sync.WaitGroup
-	errs := make([]error, len(honest))
-	for k, r := range honest {
-		k, r := k, r
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[k] = c.msmwStep(st.res, gradAgg[k], modelAgg[k], r, i, qw, qps, k == 0)
-		}()
-	}
-	wg.Wait()
-	if k, err := firstRootCause(errs); err != nil {
-		return fmt.Errorf("core: msmw iteration %d replica %d: %w", i, honest[k], err)
-	}
-	return nil
-}
-
-// stepLockstep runs the round in explicit phase order on one goroutine:
-// every replica pulls gradients, aggregates and updates its model; then
-// every replica pulls peer models; then every replica aggregates those and
-// overwrites its state. All pulls complete before any write — the property
-// the concurrent path needs a barrier for — by construction.
-func (st *msmwStepper) stepLockstep(i int, honest []int, gradAgg, modelAgg []*Aggregator, qw, qps int) error {
-	c, cfg := st.c, st.c.cfg
-	ctx, cancel := context.WithTimeout(context.Background(), cfg.PullTimeout)
-	defer cancel()
-	for k, r := range honest {
-		s := c.Server(r)
-		record := k == 0
-		commDone := c.phaseTimer()
-		grads, err := s.GetGradients(ctx, i, qw)
-		if record {
-			st.res.Breakdown.AddComm(commDone())
-		}
-		if err != nil {
-			return fmt.Errorf("core: msmw iteration %d replica %d: %w", i, r, err)
-		}
-		aggDone := c.phaseTimer()
-		aggr, err := gradAgg[k].Aggregate(grads)
-		if record {
-			st.res.Breakdown.AddAgg(aggDone())
-		}
-		if err != nil {
-			return fmt.Errorf("core: msmw iteration %d replica %d: %w", i, r, err)
-		}
-		if err := s.UpdateModel(aggr); err != nil {
-			return fmt.Errorf("core: msmw iteration %d replica %d: %w", i, r, err)
-		}
-	}
+	stages := st.stages
 	if (i+1)%cfg.ModelAggEvery != 0 {
-		return nil // contraction is periodic; no model exchange this round
+		stages = st.gradOnly // contraction is periodic; no model exchange this round
 	}
-	pulled := make([][]tensor.Vector, len(honest))
-	for k, r := range honest {
-		s := c.Server(r)
-		commDone := c.phaseTimer()
-		models, err := s.GetModels(ctx, qps)
-		if k == 0 {
-			st.res.Breakdown.AddComm(commDone())
-		}
-		if err != nil {
-			return fmt.Errorf("core: msmw iteration %d replica %d: %w", i, r, err)
-		}
-		pulled[k] = models
-	}
-	for k, r := range honest {
-		s := c.Server(r)
-		aggDone := c.phaseTimer()
-		aggrModel, err := modelAgg[k].Aggregate(pulled[k])
-		if k == 0 {
-			st.res.Breakdown.AddAgg(aggDone())
-		}
-		if err != nil {
-			return fmt.Errorf("core: msmw iteration %d replica %d: %w", i, r, err)
-		}
-		if err := s.WriteModel(aggrModel); err != nil {
-			return fmt.Errorf("core: msmw iteration %d replica %d: %w", i, r, err)
-		}
-	}
-	return nil
+	err := st.run(i, stages)
+	return err == nil, err
 }
 
 // decentralizedStepper is the round of the peer-to-peer application of
 // Listing 3: every node pairs a Worker with a Server, and each round runs
-// collect → aggregate → (contract) → update → model exchange across all
-// honest nodes, aligned by an in-process barrier. Goroutine-per-node by
-// nature, so it runs on the live wiring only.
+// collect → aggregate → (contract) → update → model exchange across the
+// honest nodes (the first n - f). Every phase is its own stage: a real
+// deployment gets that alignment from the pull quorums themselves, in
+// process the stage barrier makes it explicit — everyone published before
+// anyone pulls, everyone updated before the model exchange, everyone pulled
+// before anyone overwrites its state.
 type decentralizedStepper struct {
-	c         *Cluster
-	res       *Result
-	gradAggs  []*Aggregator
-	modelAggs []*Aggregator
+	round
+	stages [][]phase
+	honest []int
 }
 
-func (st *decentralizedStepper) Step(i int) error {
-	c := st.c
-	honest := len(st.gradAggs)
-	b := newBarrier(honest)
-	var wg sync.WaitGroup
-	errs := make([]error, honest)
-	for r := 0; r < honest; r++ {
-		r := r
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[r] = c.decentralizedStep(st.res, st.gradAggs[r], st.modelAggs[r], r, i, b, r == 0)
-		}()
+func newDecentralizedStepper(c *Cluster, res *Result) *decentralizedStepper {
+	cfg := c.cfg
+	st := &decentralizedStepper{round: round{c: c, res: res, topology: "decentralized"}}
+	st.stages = [][]phase{{{"gradients", st.gradients}}}
+	if cfg.NonIID {
+		for step := 0; step < cfg.ContractSteps; step++ {
+			st.stages = append(st.stages, []phase{{"contract publish", st.publish}}, []phase{{"contract pull", st.contractPull}})
+		}
 	}
-	wg.Wait()
-	if r, err := firstRootCause(errs); err != nil {
-		return fmt.Errorf("core: decentralized iteration %d node %d: %w", i, r, err)
+	st.stages = append(st.stages, []phase{{"update", st.update}}, []phase{{"models", st.models}}, []phase{{"write", st.write}})
+	for r := 0; r < cfg.NW-cfg.FW; r++ {
+		st.honest = append(st.honest, r)
 	}
-	return nil
+	st.qw = cfg.NW - cfg.FW
+	if cfg.SyncQuorum {
+		st.qw = cfg.NW
+	}
+	st.qps = st.qw
+	return st
 }
 
-func (st *decentralizedStepper) Observed() *Server { return st.c.Server(0) }
+func (st *decentralizedStepper) Step(i int) (bool, error) {
+	cfg := st.c.cfg
+	st.drive(st.honest)
+	if err := st.bind(cfg.Rule, cfg.FW, cfg.ModelRule, cfg.FW); err != nil {
+		return false, err
+	}
+	err := st.run(i, st.stages)
+	return err == nil, err
+}

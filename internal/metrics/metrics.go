@@ -183,7 +183,9 @@ func trimFloat(v float64) string {
 }
 
 // Breakdown accumulates per-phase latency for the Figure 7/16 stacked bars.
-// It is safe for concurrent use (nodes record from multiple goroutines).
+// It is safe for concurrent use (nodes record from multiple goroutines). The
+// Add methods accept a nil receiver and record nothing, so a runner can hand
+// the breakdown to the one node it observes and nil to the rest.
 type Breakdown struct {
 	mu      sync.Mutex
 	compute time.Duration
@@ -193,13 +195,25 @@ type Breakdown struct {
 }
 
 // AddCompute records gradient-computation time.
-func (b *Breakdown) AddCompute(d time.Duration) { b.add(&b.compute, d) }
+func (b *Breakdown) AddCompute(d time.Duration) {
+	if b != nil {
+		b.add(&b.compute, d)
+	}
+}
 
 // AddComm records communication time.
-func (b *Breakdown) AddComm(d time.Duration) { b.add(&b.comm, d) }
+func (b *Breakdown) AddComm(d time.Duration) {
+	if b != nil {
+		b.add(&b.comm, d)
+	}
+}
 
 // AddAgg records aggregation time.
-func (b *Breakdown) AddAgg(d time.Duration) { b.add(&b.agg, d) }
+func (b *Breakdown) AddAgg(d time.Duration) {
+	if b != nil {
+		b.add(&b.agg, d)
+	}
+}
 
 func (b *Breakdown) add(dst *time.Duration, d time.Duration) {
 	b.mu.Lock()

@@ -58,10 +58,13 @@ type PooledClient struct {
 	// spread out without contending on a shared RNG.
 	jitterState atomic.Uint64
 
-	mu     sync.Mutex
-	closed bool
-	conns  map[string]*pooledConn
+	mu       sync.Mutex
+	closed   bool
+	conns    map[string]*pooledConn
+	watchers sync.WaitGroup // the per-peer cancellation watchers; see Close
 }
+
+var _ io.Closer = (*PooledClient)(nil)
 
 // WireStats is a snapshot of a PooledClient's byte accounting: how many
 // frame bytes moved in each direction, and — for the pull replies that
@@ -231,11 +234,12 @@ func NewPooledClientAs(network transport.Network, self string) *PooledClient {
 	}
 }
 
-// Close tears down every pooled connection and stops the watchers. Calls
-// issued after Close fail.
-func (c *PooledClient) Close() {
+// Close tears down every pooled connection, stops the per-peer watchers and
+// returns once they have exited. Calls issued after Close fail. The error is
+// always nil; it makes the client an io.Closer, which is how its owners
+// (core.Cluster) find out it holds resources.
+func (c *PooledClient) Close() error {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.closed = true
 	for _, pc := range c.conns {
 		pc.mu.Lock()
@@ -249,6 +253,9 @@ func (c *PooledClient) Close() {
 		}
 		pc.mu.Unlock()
 	}
+	c.mu.Unlock()
+	c.watchers.Wait()
+	return nil
 }
 
 func (c *PooledClient) peer(addr string) (*pooledConn, error) {
@@ -263,7 +270,11 @@ func (c *PooledClient) peer(addr string) (*pooledConn, error) {
 			arm:    make(chan armReq),
 			disarm: make(chan struct{}),
 		}
-		go pc.watch()
+		c.watchers.Add(1)
+		go func() {
+			defer c.watchers.Done()
+			pc.watch()
+		}()
 		c.conns[addr] = pc
 	}
 	return pc, nil

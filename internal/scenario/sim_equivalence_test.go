@@ -11,13 +11,13 @@ import (
 )
 
 // simGoldenPresets are the live-scale presets the sim-vs-live equivalence
-// goldens pin: every registry preset that runs on a sim-supported topology
-// with a q = n quorum and no fault schedule. The q = n restriction is load-
-// bearing, not convenience: with q < n the live engine cancels straggler
-// pulls after the quorum and those workers still consumed a sampler draw,
-// while the simulator never dispatches a cancelled arrival — the two
-// engines agree on the model trajectory only when every pull reaches every
-// peer.
+// goldens pin: registry presets with a q = n quorum and no fault schedule,
+// covering every lockstep topology (decentralized-demo is pinned to its
+// q = n form by goldenSpec). The q = n restriction is load-bearing, not
+// convenience: with q < n the live engine cancels straggler pulls after the
+// quorum and those workers still consumed a sampler draw, while the simulator
+// never dispatches a cancelled arrival — the two engines agree on the model
+// trajectory only when every pull reaches every peer.
 var simGoldenPresets = []string{
 	"quickstart",
 	"vanilla-baseline",
@@ -36,6 +36,8 @@ var simGoldenPresets = []string{
 	"compress-fp16",
 	"compress-topk",
 	"sweep-default",
+	"crashvsbyz-attack",
+	"decentralized-demo",
 }
 
 // goldenSpec loads a preset and pins it for the equivalence comparison:
@@ -48,6 +50,11 @@ func goldenSpec(t *testing.T, name string) Spec {
 		t.Fatal(err)
 	}
 	sp.Deterministic = true
+	if name == "decentralized-demo" {
+		// The contract step at q = n: every node must publish, so no
+		// declared-Byzantine (never-publishing) nodes.
+		sp.SyncQuorum, sp.FW = true, 0
+	}
 	if sp.Iterations > 12 {
 		sp.Iterations = 12
 		sp.AccEvery = 4

@@ -88,9 +88,7 @@ const (
 	// EngineSim runs the cluster on the discrete-event simulator
 	// (internal/sim): direct handler dispatch under a virtual clock, so
 	// thousands of nodes fit in one process and every timestamp is
-	// deterministic. Requires Deterministic; incompatible with fault
-	// schedules and the crash-tolerant/decentralized topologies (their
-	// runners use live-transport machinery the simulator does not model).
+	// deterministic. See validateEngine for what it requires.
 	EngineSim = "sim"
 )
 
@@ -412,18 +410,15 @@ type Spec struct {
 
 	// Deterministic makes repeated runs bit-identical at the same seed:
 	// workers serve one cached gradient estimate per step, servers
-	// aggregate pulled vectors in canonical peer order, and replicated
-	// topologies exchange models in lockstep (see core.Config). Combine
+	// aggregate pulled vectors in canonical peer order, and rounds run
+	// sequentially in replica order (see core.Config). Combine
 	// with SyncQuorum on replicated topologies — a q < n quorum's
 	// responding subset is inherently timing-dependent.
 	Deterministic bool `json:"deterministic,omitempty"`
 
 	// Engine selects the execution substrate: "" or "live" runs over the
 	// in-memory transport, "sim" over the discrete-event simulator (see
-	// Engines). Sim requires Deterministic, supports the single-server and
-	// msmw topologies (plus the deterministic async ssmw replay), and is
-	// incompatible with fault schedules — the simulator has no
-	// fault-injecting transport to schedule them through.
+	// Engines, and validateEngine for the sim engine's requirements).
 	Engine string `json:"engine,omitempty"`
 	// SimLatencyMS, SimJitterMS and SimBandwidthMBps parameterize the
 	// simulated network: base one-way link latency, per-message uniform
@@ -512,6 +507,11 @@ func (sp Spec) Validate() error {
 	}
 	if sp.Topology == TopoMSMW && nps < 2 {
 		return fmt.Errorf("%w: msmw needs nps >= 2, got %d", ErrSpec, nps)
+	}
+	if sp.Topology == TopoDecentralized && sp.NonIID && sp.SyncQuorum && sp.FW > 0 {
+		return fmt.Errorf("%w: decentralized non_iid contract steps with sync_quorum need fw=0, got %d: "+
+			"declared-Byzantine nodes never publish an aggregated gradient, so the q = n contract pull cannot complete",
+			ErrSpec, sp.FW)
 	}
 	if sp.Topology == TopoSharded {
 		if sp.Shards < 1 {
@@ -642,14 +642,13 @@ func (sp Spec) validateAsync() error {
 }
 
 // validateEngine checks the execution-engine selection. The simulator runs
-// the sequential deterministic protocol paths only: it requires
-// Deterministic (concurrent steppers would interleave on one event queue in
-// scheduler order, forfeiting reproducibility — the engine's whole point),
-// excludes the crash-tolerant and decentralized topologies (their runners
-// are inherently concurrent), and excludes fault schedules (faults inject
-// through the live fault-injecting transport, which a simulated cluster
-// does not have). The latency knobs in turn require the sim engine: on the
-// live transport they would silently do nothing.
+// every topology, in the sequential nesting of the round scheduler only
+// (ARCHITECTURE.md, "Executing a round"): it requires Deterministic, because
+// goroutine-per-replica stages would interleave on one event queue in
+// scheduler order. It excludes fault schedules — faults inject through the
+// live fault-injecting transport, which a simulated cluster does not have.
+// The latency knobs in turn require the sim engine: on the live transport
+// they would silently do nothing.
 func (sp Spec) validateEngine() error {
 	switch sp.Engine {
 	case "", EngineLive:
@@ -664,10 +663,6 @@ func (sp Spec) validateEngine() error {
 	}
 	if !sp.Deterministic {
 		return fmt.Errorf("%w: engine %q requires deterministic mode", ErrSpec, EngineSim)
-	}
-	if sp.Topology == TopoCrashTolerant || sp.Topology == TopoDecentralized {
-		return fmt.Errorf("%w: engine %q does not support topology %q (concurrent runner)",
-			ErrSpec, EngineSim, sp.Topology)
 	}
 	if len(sp.Faults) > 0 {
 		return fmt.Errorf("%w: engine %q does not support fault schedules", ErrSpec, EngineSim)

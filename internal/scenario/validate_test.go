@@ -41,6 +41,20 @@ func TestSpecValidationErrorPaths(t *testing.T) {
 		{"fps >= nps", func(sp *Spec) { sp.FPS = 4 }, "fps=4 of nps=4"},
 		{"msmw single replica", func(sp *Spec) { sp.NPS, sp.FPS = 1, 0 }, "msmw needs nps >= 2"},
 
+		{"decentralized sync contract with byzantine nodes", func(sp *Spec) {
+			sp.Topology, sp.NPS, sp.FPS = TopoDecentralized, 0, 0
+			sp.NonIID, sp.SyncQuorum = true, true
+		}, "contract pull cannot complete"},
+
+		// Execution engine.
+		{"unknown engine", func(sp *Spec) { sp.Engine = "quantum" }, `unknown engine "quantum"`},
+		{"sim needs deterministic", func(sp *Spec) { sp.Engine = EngineSim }, "requires deterministic mode"},
+		{"sim with fault schedule", func(sp *Spec) {
+			sp.Engine, sp.Deterministic, sp.SyncQuorum = EngineSim, true, true
+			sp.Faults = []Fault{{After: 5, Kind: FaultCrashWorker, Node: 0}}
+		}, "does not support fault schedules"},
+		{"sim knobs on the live engine", func(sp *Spec) { sp.SimLatencyMS = 1 }, "require engine"},
+
 		// GAR resilience requirements, n >= g(f), per topology shape.
 		{"krum requirement ssmw", func(sp *Spec) {
 			sp.Topology, sp.NPS, sp.FPS = TopoSSMW, 0, 0
