@@ -8,8 +8,10 @@ import (
 
 	"garfield"
 	"garfield/internal/compress"
+	"garfield/internal/data"
 	"garfield/internal/experiments"
 	"garfield/internal/gar"
+	"garfield/internal/model"
 	"garfield/internal/rpc"
 	"garfield/internal/shard"
 	"garfield/internal/tensor"
@@ -95,6 +97,56 @@ func BenchmarkGARKrum(b *testing.B)        { benchRule(b, gar.NameKrum, 17, 3, 1
 func BenchmarkGARMultiKrum(b *testing.B)   { benchRule(b, gar.NameMultiKrum, 17, 3, 100_000) }
 func BenchmarkGARMDA(b *testing.B)         { benchRule(b, gar.NameMDA, 17, 3, 100_000) }
 func BenchmarkGARBulyan(b *testing.B)      { benchRule(b, gar.NameBulyan, 17, 3, 100_000) }
+
+// --- Model gradient micro-benchmarks (the worker's compute layer) ---
+
+// BenchmarkModelGradient times one worker gradient at the benchmark
+// workloads' shapes: the 784-128-10 MLP at batch 32 (ssmw_mlp100k,
+// msmw_mlp100k), and the linear model at d = 10k (ssmw_small) and d = 1M
+// (the lin1m workloads), both at batch 4.
+func BenchmarkModelGradient(b *testing.B) {
+	for _, bc := range []struct {
+		name                string
+		in, hidden, classes int // hidden 0: the linear model
+		batch               int
+	}{
+		{"mlp100k_b32", 784, 128, 10, 32},
+		{"linear10k_b4", 1000, 0, 10, 4},
+		{"linear1m_b4", 10_000, 0, 100, 4},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			var m model.Model
+			var err error
+			if bc.hidden > 0 {
+				m, err = model.NewMLP(bc.in, bc.hidden, bc.classes)
+			} else {
+				m, err = model.NewLinearSoftmax(bc.in, bc.classes)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			rng := tensor.NewRNG(11)
+			params := m.InitParams(rng)
+			batch := data.Batch{Features: make([]tensor.Vector, bc.batch), Labels: make([]int, bc.batch)}
+			for i := range batch.Features {
+				batch.Features[i] = rng.NormalVector(bc.in, 0, 1)
+				batch.Labels[i] = rng.Intn(bc.classes)
+			}
+			// One warm-up call makes the model's pooled scratch, so allocs/op
+			// is the steady state (see benchCodec).
+			if _, err := m.Gradient(params, batch); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := m.Gradient(params, batch); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
 
 // BenchmarkShardedAggregation times the per-replica critical path of one
 // sharded median round at paper scale (d = 1M, n = 7, f = 2). The flat case

@@ -180,11 +180,8 @@ func (m *CNN) Gradient(params tensor.Vector, batch data.Batch) (tensor.Vector, e
 	if len(params) != m.Dim() {
 		return nil, fmt.Errorf("%w: want %d, got %d", ErrBadParams, m.Dim(), len(params))
 	}
-	if err := checkBatch(m.InputDim(), batch); err != nil {
+	if err := checkBatch(m.InputDim(), m.classes, batch); err != nil {
 		return nil, err
-	}
-	if len(batch.Features) == 0 {
-		return nil, data.ErrEmptyDataset
 	}
 	grad := tensor.New(m.Dim())
 	gConvW, gConvB, gDenseW, gDenseB := m.layout(grad)
@@ -251,11 +248,8 @@ func (m *CNN) Loss(params tensor.Vector, batch data.Batch) (float64, error) {
 	if len(params) != m.Dim() {
 		return 0, fmt.Errorf("%w: want %d, got %d", ErrBadParams, m.Dim(), len(params))
 	}
-	if err := checkBatch(m.InputDim(), batch); err != nil {
+	if err := checkBatch(m.InputDim(), m.classes, batch); err != nil {
 		return 0, err
-	}
-	if len(batch.Features) == 0 {
-		return 0, data.ErrEmptyDataset
 	}
 	sc := m.newScratch()
 	var loss float64
@@ -271,15 +265,12 @@ func (m *CNN) Accuracy(params tensor.Vector, ds *data.Dataset) (float64, error) 
 	if len(params) != m.Dim() {
 		return 0, fmt.Errorf("%w: want %d, got %d", ErrBadParams, m.Dim(), len(params))
 	}
-	if ds.Len() == 0 {
-		return 0, data.ErrEmptyDataset
+	if err := checkDataset(m.InputDim(), ds); err != nil {
+		return 0, err
 	}
 	sc := m.newScratch()
 	correct := 0
 	for i, x := range ds.Features {
-		if len(x) != m.InputDim() {
-			return 0, fmt.Errorf("%w: feature %d has %d, want %d", ErrBadInput, i, len(x), m.InputDim())
-		}
 		m.forward(params, x, sc)
 		if argmax(sc.probs) == ds.Labels[i] {
 			correct++

@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"sync"
 
 	"garfield/internal/data"
 	"garfield/internal/tensor"
@@ -12,6 +13,7 @@ import (
 // by b (classes).
 type LinearSoftmax struct {
 	in, classes int
+	scratch     sync.Pool // of *scratch
 }
 
 var _ Model = (*LinearSoftmax)(nil)
@@ -22,7 +24,9 @@ func NewLinearSoftmax(in, classes int) (*LinearSoftmax, error) {
 	if in <= 0 || classes < 2 {
 		return nil, fmt.Errorf("%w: in=%d classes=%d", ErrBadInput, in, classes)
 	}
-	return &LinearSoftmax{in: in, classes: classes}, nil
+	m := &LinearSoftmax{in: in, classes: classes}
+	m.scratch.New = func() any { return newScratch(0, classes) }
+	return m, nil
 }
 
 // Name implements Model.
@@ -41,16 +45,26 @@ func (m *LinearSoftmax) InitParams(rng *tensor.RNG) tensor.Vector {
 	return p
 }
 
-// logits computes W x + b into out (len classes).
-func (m *LinearSoftmax) logits(params tensor.Vector, x tensor.Vector, out []float64) {
-	for c := 0; c < m.classes; c++ {
-		row := params[c*m.in : (c+1)*m.in]
-		var s float64
-		for j, xv := range x {
-			s += row[j] * xv
+// logits computes W x + b for up to block samples into sc.
+func (m *LinearSoftmax) logits(sc *scratch, params tensor.Vector, xs []tensor.Vector) []tensor.Vector {
+	w, b := params[:m.classes*m.in], params[m.classes*m.in:]
+	out := sc.out[:len(xs)]
+	denseForward(w, nil, m.in, xs, out)
+	for _, o := range out {
+		for c := range o {
+			o[c] += b[c]
 		}
-		out[c] = s + params[m.classes*m.in+c]
 	}
+	return out
+}
+
+// probs is logits through softmax.
+func (m *LinearSoftmax) probs(sc *scratch, params tensor.Vector, xs []tensor.Vector) []tensor.Vector {
+	out := m.logits(sc, params, xs)
+	for _, o := range out {
+		softmaxInPlace(o)
+	}
+	return out
 }
 
 // Gradient implements Model.
@@ -58,29 +72,19 @@ func (m *LinearSoftmax) Gradient(params tensor.Vector, batch data.Batch) (tensor
 	if len(params) != m.Dim() {
 		return nil, fmt.Errorf("%w: want %d, got %d", ErrBadParams, m.Dim(), len(params))
 	}
-	if err := checkBatch(m.in, batch); err != nil {
+	if err := checkBatch(m.in, m.classes, batch); err != nil {
 		return nil, err
 	}
-	if len(batch.Features) == 0 {
-		return nil, data.ErrEmptyDataset
-	}
+	sc := m.scratch.Get().(*scratch)
+	defer m.scratch.Put(sc)
 	grad := tensor.New(m.Dim())
-	probs := make([]float64, m.classes)
-	for i, x := range batch.Features {
-		m.logits(params, x, probs)
-		softmaxInPlace(probs)
-		y := batch.Labels[i]
-		for c := 0; c < m.classes; c++ {
-			delta := probs[c]
-			if c == y {
-				delta -= 1
-			}
-			row := grad[c*m.in : (c+1)*m.in]
-			for j, xv := range x {
-				row[j] += delta * xv
-			}
-			grad[m.classes*m.in+c] += delta
-		}
+	gw, gb := grad[:m.classes*m.in], grad[m.classes*m.in:]
+	for lo := 0; lo < len(batch.Features); lo += block {
+		hi := min(lo+block, len(batch.Features))
+		xs := batch.Features[lo:hi]
+		delta := m.probs(sc, params, xs)
+		outputDelta(delta, batch.Labels[lo:hi])
+		denseAccumulate(gw, gb, m.in, delta, xs)
 	}
 	grad.ScaleInPlace(1 / float64(len(batch.Features)))
 	return grad, nil
@@ -91,20 +95,14 @@ func (m *LinearSoftmax) Loss(params tensor.Vector, batch data.Batch) (float64, e
 	if len(params) != m.Dim() {
 		return 0, fmt.Errorf("%w: want %d, got %d", ErrBadParams, m.Dim(), len(params))
 	}
-	if err := checkBatch(m.in, batch); err != nil {
+	if err := checkBatch(m.in, m.classes, batch); err != nil {
 		return 0, err
 	}
-	if len(batch.Features) == 0 {
-		return 0, data.ErrEmptyDataset
-	}
-	probs := make([]float64, m.classes)
-	var loss float64
-	for i, x := range batch.Features {
-		m.logits(params, x, probs)
-		softmaxInPlace(probs)
-		loss += -logClamped(probs[batch.Labels[i]])
-	}
-	return loss / float64(len(batch.Features)), nil
+	sc := m.scratch.Get().(*scratch)
+	defer m.scratch.Put(sc)
+	return crossEntropy(batch, func(xs []tensor.Vector) []tensor.Vector {
+		return m.probs(sc, params, xs)
+	}), nil
 }
 
 // Accuracy implements Model.
@@ -112,19 +110,12 @@ func (m *LinearSoftmax) Accuracy(params tensor.Vector, ds *data.Dataset) (float6
 	if len(params) != m.Dim() {
 		return 0, fmt.Errorf("%w: want %d, got %d", ErrBadParams, m.Dim(), len(params))
 	}
-	if ds.Len() == 0 {
-		return 0, data.ErrEmptyDataset
+	if err := checkDataset(m.in, ds); err != nil {
+		return 0, err
 	}
-	probs := make([]float64, m.classes)
-	correct := 0
-	for i, x := range ds.Features {
-		if len(x) != m.in {
-			return 0, fmt.Errorf("%w: feature %d has %d, want %d", ErrBadInput, i, len(x), m.in)
-		}
-		m.logits(params, x, probs)
-		if argmax(probs) == ds.Labels[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(ds.Len()), nil
+	sc := m.scratch.Get().(*scratch)
+	defer m.scratch.Put(sc)
+	return accuracy(ds, func(xs []tensor.Vector) []tensor.Vector {
+		return m.logits(sc, params, xs)
+	}), nil
 }

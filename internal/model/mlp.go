@@ -3,6 +3,7 @@ package model
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"garfield/internal/data"
 	"garfield/internal/tensor"
@@ -14,6 +15,7 @@ import (
 // W2 (classes x hidden) row-major, b2 (classes).
 type MLP struct {
 	in, hidden, classes int
+	scratch             sync.Pool // of *scratch
 }
 
 var _ Model = (*MLP)(nil)
@@ -23,7 +25,9 @@ func NewMLP(in, hidden, classes int) (*MLP, error) {
 	if in <= 0 || hidden <= 0 || classes < 2 {
 		return nil, fmt.Errorf("%w: in=%d hidden=%d classes=%d", ErrBadInput, in, hidden, classes)
 	}
-	return &MLP{in: in, hidden: hidden, classes: classes}, nil
+	m := &MLP{in: in, hidden: hidden, classes: classes}
+	m.scratch.New = func() any { return newScratch(hidden, classes) }
+	return m, nil
 }
 
 // Name implements Model.
@@ -66,26 +70,22 @@ func (m *MLP) layout(p tensor.Vector) (w1, b1, w2, b2 tensor.Vector) {
 	return
 }
 
-// forward computes hidden activations (tanh) and output probabilities.
-func (m *MLP) forward(p tensor.Vector, x tensor.Vector, h, probs []float64) {
+// forward computes the hidden activations (tanh) and output probabilities
+// of up to block samples into sc.
+func (m *MLP) forward(sc *scratch, p tensor.Vector, xs []tensor.Vector) (h, probs []tensor.Vector) {
 	w1, b1, w2, b2 := m.layout(p)
-	for i := 0; i < m.hidden; i++ {
-		row := w1[i*m.in : (i+1)*m.in]
-		s := b1[i]
-		for j, xv := range x {
-			s += row[j] * xv
+	h, probs = sc.h[:len(xs)], sc.out[:len(xs)]
+	denseForward(w1, b1, m.in, xs, h)
+	for _, hs := range h {
+		for i, s := range hs {
+			hs[i] = math.Tanh(s)
 		}
-		h[i] = math.Tanh(s)
 	}
-	for c := 0; c < m.classes; c++ {
-		row := w2[c*m.hidden : (c+1)*m.hidden]
-		s := b2[c]
-		for i, hv := range h {
-			s += row[i] * hv
-		}
-		probs[c] = s
+	denseForward(w2, b2, m.hidden, h, probs)
+	for _, ps := range probs {
+		softmaxInPlace(ps)
 	}
-	softmaxInPlace(probs)
+	return h, probs
 }
 
 // Gradient implements Model (closed-form backprop through the single hidden
@@ -94,53 +94,34 @@ func (m *MLP) Gradient(params tensor.Vector, batch data.Batch) (tensor.Vector, e
 	if len(params) != m.Dim() {
 		return nil, fmt.Errorf("%w: want %d, got %d", ErrBadParams, m.Dim(), len(params))
 	}
-	if err := checkBatch(m.in, batch); err != nil {
+	if err := checkBatch(m.in, m.classes, batch); err != nil {
 		return nil, err
 	}
-	if len(batch.Features) == 0 {
-		return nil, data.ErrEmptyDataset
-	}
+	sc := m.scratch.Get().(*scratch)
+	defer m.scratch.Put(sc)
 	grad := tensor.New(m.Dim())
 	gw1, gb1, gw2, gb2 := m.layout(grad)
 	_, _, w2, _ := m.layout(params)
-
-	h := make([]float64, m.hidden)
-	probs := make([]float64, m.classes)
-	dh := make([]float64, m.hidden)
-	for i, x := range batch.Features {
-		m.forward(params, x, h, probs)
-		y := batch.Labels[i]
+	for lo := 0; lo < len(batch.Features); lo += block {
+		hi := min(lo+block, len(batch.Features))
+		xs := batch.Features[lo:hi]
+		h, delta := m.forward(sc, params, xs)
 		// Output layer: dL/dlogit_c = p_c - [c == y].
-		for c := 0; c < m.classes; c++ {
-			delta := probs[c]
-			if c == y {
-				delta -= 1
-			}
-			row := gw2[c*m.hidden : (c+1)*m.hidden]
-			for j, hv := range h {
-				row[j] += delta * hv
-			}
-			gb2[c] += delta
-		}
-		// Hidden layer: dh_j = sum_c delta_c * w2[c][j], through tanh'.
-		for j := range dh {
-			var s float64
-			for c := 0; c < m.classes; c++ {
-				delta := probs[c]
-				if c == y {
-					delta -= 1
+		outputDelta(delta, batch.Labels[lo:hi])
+		denseAccumulate(gw2, gb2, m.hidden, delta, h)
+		// Hidden layer: dh_j = sum_c delta_c * w2[c][j], through tanh'. It
+		// overwrites h, which nothing reads after the output layer's
+		// gradient.
+		for i, hs := range h {
+			for j, hv := range hs {
+				var s float64
+				for c, d := range delta[i] {
+					s += d * w2[c*m.hidden+j]
 				}
-				s += delta * w2[c*m.hidden+j]
+				hs[j] = s * (1 - hv*hv)
 			}
-			dh[j] = s * (1 - h[j]*h[j])
 		}
-		for j := 0; j < m.hidden; j++ {
-			row := gw1[j*m.in : (j+1)*m.in]
-			for k, xv := range x {
-				row[k] += dh[j] * xv
-			}
-			gb1[j] += dh[j]
-		}
+		denseAccumulate(gw1, gb1, m.in, h, xs)
 	}
 	grad.ScaleInPlace(1 / float64(len(batch.Features)))
 	return grad, nil
@@ -151,20 +132,15 @@ func (m *MLP) Loss(params tensor.Vector, batch data.Batch) (float64, error) {
 	if len(params) != m.Dim() {
 		return 0, fmt.Errorf("%w: want %d, got %d", ErrBadParams, m.Dim(), len(params))
 	}
-	if err := checkBatch(m.in, batch); err != nil {
+	if err := checkBatch(m.in, m.classes, batch); err != nil {
 		return 0, err
 	}
-	if len(batch.Features) == 0 {
-		return 0, data.ErrEmptyDataset
-	}
-	h := make([]float64, m.hidden)
-	probs := make([]float64, m.classes)
-	var loss float64
-	for i, x := range batch.Features {
-		m.forward(params, x, h, probs)
-		loss += -logClamped(probs[batch.Labels[i]])
-	}
-	return loss / float64(len(batch.Features)), nil
+	sc := m.scratch.Get().(*scratch)
+	defer m.scratch.Put(sc)
+	return crossEntropy(batch, func(xs []tensor.Vector) []tensor.Vector {
+		_, probs := m.forward(sc, params, xs)
+		return probs
+	}), nil
 }
 
 // Accuracy implements Model.
@@ -172,30 +148,13 @@ func (m *MLP) Accuracy(params tensor.Vector, ds *data.Dataset) (float64, error) 
 	if len(params) != m.Dim() {
 		return 0, fmt.Errorf("%w: want %d, got %d", ErrBadParams, m.Dim(), len(params))
 	}
-	if ds.Len() == 0 {
-		return 0, data.ErrEmptyDataset
+	if err := checkDataset(m.in, ds); err != nil {
+		return 0, err
 	}
-	h := make([]float64, m.hidden)
-	probs := make([]float64, m.classes)
-	correct := 0
-	for i, x := range ds.Features {
-		if len(x) != m.in {
-			return 0, fmt.Errorf("%w: feature %d has %d, want %d", ErrBadInput, i, len(x), m.in)
-		}
-		m.forward(params, x, h, probs)
-		if argmax(probs) == ds.Labels[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(ds.Len()), nil
-}
-
-// logClamped returns log(p) with p clamped away from zero so Byzantine-driven
-// divergence produces large-but-finite losses instead of -Inf.
-func logClamped(p float64) float64 {
-	const eps = 1e-12
-	if p < eps {
-		p = eps
-	}
-	return math.Log(p)
+	sc := m.scratch.Get().(*scratch)
+	defer m.scratch.Put(sc)
+	return accuracy(ds, func(xs []tensor.Vector) []tensor.Vector {
+		_, probs := m.forward(sc, params, xs)
+		return probs
+	}), nil
 }

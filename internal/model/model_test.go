@@ -222,15 +222,66 @@ func TestParamDimValidation(t *testing.T) {
 	}
 }
 
+// TestInputDimValidation: a batch a model cannot differentiate is an
+// ErrBadInput from every model, never an index panic inside a handler
+// goroutine (short labels) or a label silently treated as "no class".
 func TestInputDimValidation(t *testing.T) {
-	m, err := NewLinearSoftmax(10, 3)
+	linear, err := NewLinearSoftmax(10, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := m.InitParams(tensor.NewRNG(1))
-	badBatch := data.Batch{Features: []tensor.Vector{tensor.New(7)}, Labels: []int{0}}
-	if _, err := m.Gradient(params, badBatch); !errors.Is(err, ErrBadInput) {
-		t.Fatalf("err = %v, want ErrBadInput", err)
+	mlp, err := NewMLP(10, 4, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cnn, err := NewCNN(4, 4, 1, 2, 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	models := []struct {
+		m  Model
+		in int
+	}{{linear, 10}, {mlp, 10}, {cnn, cnn.InputDim()}}
+	for _, mc := range models {
+		good := func(n int) []tensor.Vector {
+			xs := make([]tensor.Vector, n)
+			for i := range xs {
+				xs[i] = tensor.New(mc.in)
+			}
+			return xs
+		}
+		for _, tc := range []struct {
+			name  string
+			batch data.Batch
+		}{
+			{"narrow feature", data.Batch{Features: []tensor.Vector{tensor.New(mc.in - 1)}, Labels: []int{0}}},
+			{"wide feature in a tail", data.Batch{Features: append(good(4), tensor.New(mc.in+1)), Labels: make([]int, 5)}},
+			{"fewer labels than samples", data.Batch{Features: good(3), Labels: []int{0, 1}}},
+			{"no labels", data.Batch{Features: good(1)}},
+			{"negative label", data.Batch{Features: good(2), Labels: []int{0, -1}}},
+			{"label equal to classes", data.Batch{Features: good(2), Labels: []int{3, 0}}},
+		} {
+			t.Run(mc.m.Name()+"/"+tc.name, func(t *testing.T) {
+				params := mc.m.InitParams(tensor.NewRNG(1))
+				if _, err := mc.m.Gradient(params, tc.batch); !errors.Is(err, ErrBadInput) {
+					t.Fatalf("Gradient err = %v, want ErrBadInput", err)
+				}
+				if _, err := mc.m.Loss(params, tc.batch); !errors.Is(err, ErrBadInput) {
+					t.Fatalf("Loss err = %v, want ErrBadInput", err)
+				}
+			})
+		}
+		t.Run(mc.m.Name()+"/dataset", func(t *testing.T) {
+			params := mc.m.InitParams(tensor.NewRNG(1))
+			for name, ds := range map[string]*data.Dataset{
+				"narrow feature":            {Features: append(good(5), tensor.New(mc.in-1)), Labels: make([]int, 6)},
+				"fewer labels than samples": {Features: good(5), Labels: make([]int, 4)},
+			} {
+				if _, err := mc.m.Accuracy(params, ds); !errors.Is(err, ErrBadInput) {
+					t.Fatalf("Accuracy over a dataset with a %s: err = %v, want ErrBadInput", name, err)
+				}
+			}
+		})
 	}
 }
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # bench.sh — run the hot-path micro-benchmarks and emit a JSON snapshot
-# (BENCH_<N>.json) so the performance trajectory of the aggregation, codec
-# and RPC layers is tracked across PRs.
+# (BENCH_<N>.json) so the performance trajectory of the model-gradient,
+# aggregation, codec and RPC layers is tracked across PRs.
 #
 # Usage:
 #   scripts/bench.sh              # writes the next unused BENCH_<N>.json
@@ -32,7 +32,7 @@ else
   OUT="BENCH_${n}.json"
 fi
 BENCHTIME="${BENCHTIME:-20x}"
-BENCHES='BenchmarkGARKrum$|BenchmarkGARMultiKrum$|BenchmarkGARMDA$|BenchmarkGARBulyan$|BenchmarkGARMedian$|BenchmarkVectorCodec$|BenchmarkRPCPullFirstQ$|BenchmarkLiveSSMWIteration$|BenchmarkCompressFP64$|BenchmarkCompressFP16$|BenchmarkCompressInt8$|BenchmarkCompressTopK$|BenchmarkCompressedPull$|BenchmarkShardedAggregation$'
+BENCHES='BenchmarkModelGradient$|BenchmarkGARKrum$|BenchmarkGARMultiKrum$|BenchmarkGARMDA$|BenchmarkGARBulyan$|BenchmarkGARMedian$|BenchmarkVectorCodec$|BenchmarkRPCPullFirstQ$|BenchmarkLiveSSMWIteration$|BenchmarkCompressFP64$|BenchmarkCompressFP16$|BenchmarkCompressInt8$|BenchmarkCompressTopK$|BenchmarkCompressedPull$|BenchmarkShardedAggregation$'
 
 RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
