@@ -1,8 +1,10 @@
 // Command garfield-controller deploys a whole cluster from a JSON manifest —
-// the paper's Controller module (Section 3.2). It validates the manifest
+// the paper's Controller module (Section 3.2). A manifest is a scenario spec
+// plus the address of every worker and server (internal/controller;
+// examples/manifests has one per topology). The controller validates it
 // (including GAR resilience preconditions), prints the per-node launch plan,
 // and with -run starts every node as a local child process, streaming their
-// output until the servers finish.
+// output until the training nodes finish.
 //
 // Usage:
 //
@@ -45,19 +47,18 @@ func run(args []string) error {
 		fs.Usage()
 		return fmt.Errorf("exactly one manifest file expected")
 	}
-	raw, err := os.ReadFile(fs.Arg(0))
-	if err != nil {
-		return err
-	}
-	m, err := controller.Parse(raw)
+	path := fs.Arg(0)
+	m, err := controller.Load(path)
 	if err != nil {
 		return err
 	}
 
+	sp := m.Spec
 	fmt.Printf("launch plan: %s, %d workers (fw=%d), %d servers (fps=%d), rule=%s\n",
-		m.Protocol, len(m.Workers), m.FW, len(m.Servers), m.FPS, m.Rule)
-	for _, c := range m.Commands() {
-		fmt.Printf("  [%s @ %s] garfield-node %s\n", c.Role, c.Addr, strings.Join(c.Args, " "))
+		sp.Topology, len(m.Workers), sp.FW, len(m.Servers), sp.FPS, sp.Rule)
+	cmds := m.Commands(path)
+	for _, c := range cmds {
+		fmt.Printf("  [%s %d @ %s] garfield-node %s\n", c.Role, c.Index, c.Addr, strings.Join(c.Args, " "))
 	}
 	if !*launch {
 		return nil
@@ -66,5 +67,5 @@ func run(args []string) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	l := controller.Launcher{Binary: *binary, Stdout: os.Stdout, Stderr: os.Stderr}
-	return l.Run(ctx, m)
+	return l.Run(ctx, cmds)
 }

@@ -1,451 +1,84 @@
-// Command garfield-node runs one Garfield node as a standalone process over
-// TCP — the deployment path of the paper's Controller module. A cluster is a
-// set of worker processes plus one or more server processes, all started with
-// the same task flags (seed, dim, classes, nw) so that every node generates
-// the same synthetic dataset and takes its own shard of it.
+// Command garfield-node runs one node of a Garfield deployment as a
+// standalone process over TCP — the deployment path of the paper's
+// Controller module. Every process of a deployment is started with the same
+// manifest (a scenario spec plus the address of every node, see
+// internal/controller and examples/manifests) and is told which node it is:
 //
-// Start, e.g., three workers and one server on one machine:
+//	garfield-node -manifest ssmw.json -role worker -index 0 &
+//	garfield-node -manifest ssmw.json -role worker -index 1 &
+//	garfield-node -manifest ssmw.json -role worker -index 2 &
+//	garfield-node -manifest ssmw.json -role server -index 0
 //
-//	garfield-node -role worker -listen 127.0.0.1:7001 -index 0 -nw 3 &
-//	garfield-node -role worker -listen 127.0.0.1:7002 -index 1 -nw 3 &
-//	garfield-node -role worker -listen 127.0.0.1:7003 -index 2 -nw 3 &
-//	garfield-node -role server -listen 127.0.0.1:7000 -nw 3 -fw 0 \
-//	    -workers 127.0.0.1:7001,127.0.0.1:7002,127.0.0.1:7003 \
-//	    -rule median -iterations 100
-//
-// A server process runs the SSMW loop (Listing 1) or, with -peers, the MSMW
-// loop (Listing 2) and prints accuracy as it trains. Worker processes serve
-// until killed.
+// The process materializes the manifest's spec into the same cluster an
+// in-process run builds, listens for its own node only, and runs the same
+// rounds: a server drives its replica against the remote nodes and prints
+// its accuracy curve; workers and declared-Byzantine replicas serve until
+// killed. garfield-controller prints (and with -run executes) these command
+// lines for a whole manifest.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"os/signal"
-	"strings"
 	"time"
 
-	"garfield/internal/core"
-	"garfield/internal/data"
-	"garfield/internal/model"
-	"garfield/internal/rpc"
-	"garfield/internal/sgd"
-	"garfield/internal/tensor"
+	"garfield/internal/controller"
 	"garfield/internal/transport"
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	if err := run(context.Background(), os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "garfield-node:", err)
 		os.Exit(1)
 	}
 }
 
-type nodeFlags struct {
-	role       string
-	listen     string
-	index      int
-	nw, fw     int
-	fps        int
-	workers    string
-	peers      string
-	rule       string
-	modelRule  string
-	iterations int
-	batch      int
-	accEvery   int
-	dim        int
-	classes    int
-	trainN     int
-	testN      int
-	lr         float64
-	seed       uint64
-	timeout    time.Duration
-
-	contractSteps int
-	nonIID        bool
-	linger        time.Duration
-}
-
-func parseFlags(args []string) (*nodeFlags, error) {
+// run is the whole process; cancelling ctx stops a serving node (an
+// interrupt does too) and cuts a finished node's linger short.
+func run(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("garfield-node", flag.ContinueOnError)
-	nf := &nodeFlags{}
-	fs.StringVar(&nf.role, "role", "", "node role: worker, server, or peer (required)")
-	fs.StringVar(&nf.listen, "listen", "127.0.0.1:0", "listen address")
-	fs.IntVar(&nf.index, "index", 0, "worker shard index (worker role)")
-	fs.IntVar(&nf.nw, "nw", 3, "total number of workers")
-	fs.IntVar(&nf.fw, "fw", 0, "declared Byzantine workers")
-	fs.IntVar(&nf.fps, "fps", 0, "declared Byzantine servers (msmw)")
-	fs.StringVar(&nf.workers, "workers", "", "comma-separated worker addresses (server role)")
-	fs.StringVar(&nf.peers, "peers", "", "comma-separated server replica addresses incl. self (enables MSMW)")
-	fs.StringVar(&nf.rule, "rule", "median", "gradient aggregation rule")
-	fs.StringVar(&nf.modelRule, "model-rule", "median", "model aggregation rule (msmw)")
-	fs.IntVar(&nf.iterations, "iterations", 100, "training iterations (server role)")
-	fs.IntVar(&nf.batch, "batch", 32, "per-worker mini-batch size")
-	fs.IntVar(&nf.accEvery, "acc-every", 10, "accuracy measurement period")
-	fs.IntVar(&nf.dim, "dim", 64, "synthetic task feature dimension")
-	fs.IntVar(&nf.classes, "classes", 10, "synthetic task classes")
-	fs.IntVar(&nf.trainN, "train", 4000, "synthetic training examples")
-	fs.IntVar(&nf.testN, "test", 1000, "synthetic test examples")
-	fs.Float64Var(&nf.lr, "lr", 0.25, "learning rate")
-	fs.Uint64Var(&nf.seed, "seed", 1, "shared random seed (must match across nodes)")
-	fs.DurationVar(&nf.timeout, "timeout", 30*time.Second, "per-pull timeout")
-	fs.IntVar(&nf.contractSteps, "contract-steps", 1, "contract rounds per iteration (peer role)")
-	fs.BoolVar(&nf.nonIID, "non-iid", false, "shard data by label (peer role)")
-	fs.DurationVar(&nf.linger, "linger", 5*time.Second,
-		"keep serving after finishing so slower peers can complete (peer role)")
+	path := fs.String("manifest", "", "deployment manifest (JSON: spec + worker and server addresses; required)")
+	role := fs.String("role", "", "which node this process is: worker or server (required)")
+	index := fs.Int("index", 0, "the node's position in the manifest's worker or server list")
 	if err := fs.Parse(args); err != nil {
-		return nil, err
+		return err
 	}
-	switch nf.role {
-	case "worker", "server", "peer":
-	default:
-		return nil, fmt.Errorf("-role must be worker, server or peer, got %q", nf.role)
-	}
-	return nf, nil
-}
-
-func run(args []string, out io.Writer) error {
-	nf, err := parseFlags(args)
+	m, err := controller.Load(*path)
 	if err != nil {
 		return err
 	}
-	arch, err := model.NewLinearSoftmax(nf.dim, nf.classes)
+	node, err := controller.Start(m, *role, *index, transport.TCP{})
 	if err != nil {
 		return err
 	}
-	_, test, err := data.Generate(data.SyntheticSpec{
-		Name: "node-task", Dim: nf.dim, Classes: nf.classes,
-		Train: nf.trainN, Test: nf.testN,
-		Separation: 1.0, Noise: 1.0, Seed: nf.seed,
-	})
-	if err != nil {
-		return err
-	}
-	switch nf.role {
-	case "worker":
-		return runWorker(nf, out)
-	case "peer":
-		return runPeer(nf, arch, test, out)
-	default:
-		return runServer(nf, arch, test, out)
-	}
-}
-
-// runPeer deploys one decentralized node (Listing 3): a Worker and a Server
-// behind a single TCP endpoint, driving the contract-based training loop
-// against the peer set.
-func runPeer(nf *nodeFlags, arch model.Model, test *data.Dataset, out io.Writer) error {
-	peerAddrs := splitAddrs(nf.peers)
-	if len(peerAddrs) != nf.nw {
-		return fmt.Errorf("-peers lists %d addresses, -nw is %d", len(peerAddrs), nf.nw)
-	}
-	train, _, err := data.Generate(data.SyntheticSpec{
-		Name: "node-task", Dim: nf.dim, Classes: nf.classes,
-		Train: nf.trainN, Test: nf.testN,
-		Separation: 1.0, Noise: 1.0, Seed: nf.seed,
-	})
-	if err != nil {
-		return err
-	}
-	var shards []*data.Dataset
-	if nf.nonIID {
-		shards, err = data.PartitionByLabel(train, nf.nw)
-	} else {
-		shards, err = data.PartitionIID(train, nf.nw, nf.seed)
-	}
-	if err != nil {
-		return err
-	}
-	if nf.index < 0 || nf.index >= nf.nw {
-		return fmt.Errorf("peer index %d out of range [0, %d)", nf.index, nf.nw)
-	}
-	w, err := core.NewWorker(arch, shards[nf.index], nf.batch, nf.seed+uint64(nf.index)+1, nil)
-	if err != nil {
-		return err
-	}
-	opt, err := sgd.New(sgd.Constant(nf.lr))
-	if err != nil {
-		return err
-	}
-	client := rpc.NewPooledClient(transport.TCP{})
-	defer client.Close()
-	s, err := core.NewServer(core.ServerConfig{
-		Arch:      arch,
-		Init:      arch.InitParams(tensor.NewRNG(nf.seed)),
-		Optimizer: opt,
-		Client:    client,
-		Workers:   peerAddrs, // gradient pulls hit every node's worker half
-		Peers:     peerAddrs,
-	})
-	if err != nil {
-		return err
-	}
-	node, err := core.NewPeerNode(w, s)
-	if err != nil {
-		return err
-	}
-	srv, err := rpc.Serve(transport.TCP{}, nf.listen, node)
-	if err != nil {
-		return err
-	}
-	defer srv.Close()
-	fmt.Fprintf(out, "peer %d on %s: %s over %d nodes (f=%d)\n",
-		nf.index, srv.Addr(), nf.rule, nf.nw, nf.fw)
-
-	// Process startup is not synchronized: without a readiness gate the
-	// fastest peer's first pull round fails on connection-refused dials and
-	// the failure cascades across the cluster.
-	if err := awaitPeers(nf.timeout, client, peerAddrs); err != nil {
-		return err
-	}
-
-	q := nf.nw - nf.fw
-	contract := 0
-	if nf.nonIID {
-		contract = nf.contractSteps
-	}
-	for i := 0; i < nf.iterations; i++ {
-		ctx, cancel := context.WithTimeout(context.Background(), nf.timeout)
-		err := node.DecentralizedStep(ctx, i, q, nf.fw, nf.rule, nf.modelRule, contract)
-		cancel()
-		if err != nil {
-			return fmt.Errorf("iteration %d: %w", i, err)
-		}
-		if nf.accEvery > 0 && (i+1)%nf.accEvery == 0 {
-			acc, err := s.ComputeAccuracy(test)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "peer %d iteration %4d  accuracy %.4f\n", nf.index, i+1, acc)
-		}
-	}
-	acc, err := s.ComputeAccuracy(test)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "peer %d done: final accuracy %.4f\n", nf.index, acc)
-	// Decentralized peers have no coordinator; a node that exits the
-	// moment its own loop ends would break the quorum of slower peers
-	// mid-round, so keep serving pulls for a grace period.
-	time.Sleep(nf.linger)
-	return nil
-}
-
-// awaitPeers pings every address with exponential backoff until it answers
-// or the per-address timeout expires — the readiness gate run before a
-// node's first pull round. A peer that answers the ping at all (even by
-// declining) is up and serving.
-func awaitPeers(timeout time.Duration, client rpc.Caller, addrs []string) error {
-	for _, addr := range addrs {
-		ctx, cancel := context.WithTimeout(context.Background(), timeout)
-		backoff := 10 * time.Millisecond
-		for {
-			_, err := client.Call(ctx, addr, rpc.Request{Kind: rpc.KindPing})
-			if err == nil || errors.Is(err, rpc.ErrNotServed) {
-				break
-			}
-			select {
-			case <-ctx.Done():
-				cancel()
-				return fmt.Errorf("waiting for peer %s: %w", addr, err)
-			case <-time.After(backoff):
-			}
-			if backoff < 500*time.Millisecond {
-				backoff *= 2
-			}
-		}
-		cancel()
-	}
-	return nil
-}
-
-// startWorker builds the worker node and starts serving; it returns the
-// running RPC server and the shard size. Factored out of runWorker so tests
-// can run workers without SIGINT plumbing.
-func startWorker(nf *nodeFlags) (*rpc.Server, int, error) {
-	arch, err := model.NewLinearSoftmax(nf.dim, nf.classes)
-	if err != nil {
-		return nil, 0, err
-	}
-	train, _, err := data.Generate(data.SyntheticSpec{
-		Name: "node-task", Dim: nf.dim, Classes: nf.classes,
-		Train: nf.trainN, Test: nf.testN,
-		Separation: 1.0, Noise: 1.0, Seed: nf.seed,
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	shards, err := data.PartitionIID(train, nf.nw, nf.seed)
-	if err != nil {
-		return nil, 0, err
-	}
-	if nf.index < 0 || nf.index >= nf.nw {
-		return nil, 0, fmt.Errorf("worker index %d out of range [0, %d)", nf.index, nf.nw)
-	}
-	w, err := core.NewWorker(arch, shards[nf.index], nf.batch, nf.seed+uint64(nf.index)+1, nil)
-	if err != nil {
-		return nil, 0, err
-	}
-	srv, err := rpc.Serve(transport.TCP{}, nf.listen, w)
-	if err != nil {
-		return nil, 0, err
-	}
-	return srv, shards[nf.index].Len(), nil
-}
-
-func runWorker(nf *nodeFlags, out io.Writer) error {
-	srv, shardLen, err := startWorker(nf)
-	if err != nil {
-		return err
-	}
-	defer srv.Close()
-	fmt.Fprintf(out, "worker %d serving on %s (shard: %d examples)\n",
-		nf.index, srv.Addr(), shardLen)
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	<-ctx.Done()
-	fmt.Fprintln(out, "worker shutting down")
-	return nil
-}
-
-func runServer(nf *nodeFlags, arch model.Model, test *data.Dataset, out io.Writer) error {
-	workerAddrs := splitAddrs(nf.workers)
-	if len(workerAddrs) != nf.nw {
-		return fmt.Errorf("-workers lists %d addresses, -nw is %d", len(workerAddrs), nf.nw)
-	}
-	peerAddrs := splitAddrs(nf.peers)
-	msmw := len(peerAddrs) > 0
-
-	opt, err := sgd.New(sgd.Constant(nf.lr))
-	if err != nil {
-		return err
-	}
-	client := rpc.NewPooledClient(transport.TCP{})
-	defer client.Close()
-	s, err := core.NewServer(core.ServerConfig{
-		Arch:      arch,
-		Init:      arch.InitParams(tensor.NewRNG(nf.seed)),
-		Optimizer: opt,
-		Client:    client,
-		Workers:   workerAddrs,
-		Peers:     peerAddrs,
-	})
-	if err != nil {
-		return err
-	}
-	// Serve model pulls from replica peers (MSMW) on the listen address.
-	srv, err := rpc.Serve(transport.TCP{}, nf.listen, s)
-	if err != nil {
-		return err
-	}
-	defer srv.Close()
-	fmt.Fprintf(out, "server on %s: %s over %d workers (fw=%d)",
-		srv.Addr(), nf.rule, nf.nw, nf.fw)
-	if msmw {
-		fmt.Fprintf(out, ", %d replicas (fps=%d)", len(peerAddrs), nf.fps)
-	}
-	fmt.Fprintln(out)
-
-	// Readiness gate: wait for the worker fleet (and replica peers under
-	// MSMW) before the first pull round, so process startup order cannot
-	// fail the quorum.
-	if err := awaitPeers(nf.timeout, client, workerAddrs); err != nil {
-		return err
-	}
-	if msmw {
-		if err := awaitPeers(nf.timeout, client, peerAddrs); err != nil {
-			return err
-		}
-	}
-
-	qw := nf.nw
-	if msmw {
-		qw = nf.nw - nf.fw
-	}
-	// Rules and output buffers are constructed once and reused every
-	// iteration (the steady-state zero-allocation aggregation path); this
-	// also rejects an unknown or infeasible rule before training starts.
-	gradAgg, err := core.NewAggregator(nf.rule, qw, nf.fw)
-	if err != nil {
-		return err
-	}
-	var modelAgg *core.Aggregator
-	if msmw {
-		if modelAgg, err = core.NewAggregator(nf.modelRule, len(peerAddrs)-nf.fps, nf.fps); err != nil {
-			return err
-		}
-	}
-	for i := 0; i < nf.iterations; i++ {
-		ctx, cancel := context.WithTimeout(context.Background(), nf.timeout)
-		grads, err := s.GetGradients(ctx, i, qw)
-		if err != nil {
-			cancel()
-			return fmt.Errorf("iteration %d: %w", i, err)
-		}
-		aggr, err := gradAgg.Aggregate(grads)
-		if err != nil {
-			cancel()
-			return fmt.Errorf("iteration %d: %w", i, err)
-		}
-		if err := s.UpdateModel(aggr); err != nil {
-			cancel()
-			return err
-		}
-		if msmw {
-			models, err := s.GetModels(ctx, len(peerAddrs)-nf.fps)
-			if err != nil {
-				cancel()
-				return fmt.Errorf("iteration %d models: %w", i, err)
-			}
-			aggrM, err := modelAgg.Aggregate(models)
-			if err != nil {
-				cancel()
-				return err
-			}
-			if err := s.WriteModel(aggrM); err != nil {
-				cancel()
-				return err
-			}
-		}
-		cancel()
-		if nf.accEvery > 0 && (i+1)%nf.accEvery == 0 {
-			acc, err := s.ComputeAccuracy(test)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "iteration %4d  accuracy %.4f\n", i+1, acc)
-		}
-	}
-	acc, err := s.ComputeAccuracy(test)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "done: final accuracy %.4f\n", acc)
-	if msmw {
-		// A replica that exits the moment its own loop ends breaks the
-		// final model pull of any slower replica; keep serving for the
-		// grace period, like decentralized peers do.
-		time.Sleep(nf.linger)
-	}
-	return nil
-}
-
-func splitAddrs(s string) []string {
-	if s == "" {
+	defer node.Close()
+	if !node.Drives() {
+		fmt.Fprintf(out, "%s %d serving\n", *role, *index)
+		ctx, stop := signal.NotifyContext(ctx, os.Interrupt)
+		defer stop()
+		<-ctx.Done()
 		return nil
 	}
-	parts := strings.Split(s, ",")
-	out := make([]string, 0, len(parts))
-	for _, p := range parts {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
+	fmt.Fprintf(out, "%s %d: %s, rule %s over %d workers (fw=%d), %d server replicas (fps=%d)\n",
+		*role, *index, m.Spec.Topology, m.Spec.Rule, len(m.Workers), m.Spec.FW, len(m.Servers), m.Spec.FPS)
+	res, err := node.Train()
+	if err != nil {
+		return err
+	}
+	for _, p := range res.Accuracy.Points {
+		fmt.Fprintf(out, "%s %d iteration %4.0f  accuracy %.4f\n", *role, *index, p.X, p.Y)
+	}
+	fmt.Fprintf(out, "%s %d done: final accuracy %.4f (%d updates, %.1f updates/s)\n",
+		*role, *index, res.Accuracy.Points[len(res.Accuracy.Points)-1].Y, res.Updates, res.UpdatesPerSec())
+	if len(m.Servers) > 1 {
+		select {
+		case <-ctx.Done():
+		case <-time.After(controller.Linger):
 		}
 	}
-	return out
+	return nil
 }

@@ -1,179 +1,112 @@
 // Package controller implements Garfield's Controller module (Section 3.2):
-// it parses a cluster manifest — which nodes play which roles, their
-// addresses, the experiment parameters — validates it against the chosen
-// protocol's resilience requirements, and produces the per-node command
-// lines that deploy the cluster. A local launcher runs the whole manifest as
-// child processes for single-machine deployments (the paper launches over
-// SSH; the command lines this package generates are what one would run on
-// each remote host).
+// it deploys a scenario.Spec across processes. A manifest is the spec plus
+// an address book — which host:port serves worker i and server replica i —
+// and every node process materializes the same spec into the same
+// core.Cluster, differing only in wiring: it listens for the one node it
+// hosts and reaches the others through the address book (node.go). The
+// package also expands a manifest into the per-node command lines that
+// deploy it, and a local launcher runs those as child processes for
+// single-machine deployments (the paper launches over SSH; the command lines
+// are what one would run on each remote host).
 package controller
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
 	"strconv"
 	"strings"
 
-	"garfield/internal/gar"
+	"garfield/internal/scenario"
 )
 
-// Manifest describes one cluster deployment, the controller's input.
+// Manifest describes one multi-process deployment: what to run and where
+// each node listens. For the decentralized topology peer i is the pair
+// (Workers[i], Servers[i]): one process serving its worker half and its
+// server half on two ports.
 type Manifest struct {
-	// Protocol selects the application: "ssmw", "msmw" or "decentralized".
-	// For "decentralized", Workers lists the peer nodes and Servers must
-	// be empty (every node plays both roles).
-	Protocol string `json:"protocol"`
-	// Workers and Servers list node addresses (host:port).
+	// Spec is the scenario every node materializes.
+	Spec scenario.Spec `json:"spec"`
+	// Workers and Servers list node addresses (host:port): Workers[i] serves
+	// worker i, Servers[i] server replica i.
 	Workers []string `json:"workers"`
 	Servers []string `json:"servers"`
-	// FW and FPS are the declared Byzantine counts.
-	FW  int `json:"fw"`
-	FPS int `json:"fps"`
-	// Rule is the gradient GAR; ModelRule the model GAR (default median).
-	Rule      string `json:"rule"`
-	ModelRule string `json:"modelRule,omitempty"`
-	// Iterations, BatchSize, Seed, LR parameterize training.
-	Iterations int     `json:"iterations"`
-	BatchSize  int     `json:"batchSize"`
-	Seed       uint64  `json:"seed"`
-	LR         float64 `json:"lr"`
-	// Dim/Classes/Train/Test shape the synthetic task every node
-	// regenerates locally from the shared seed.
-	Dim     int `json:"dim"`
-	Classes int `json:"classes"`
-	Train   int `json:"train"`
-	Test    int `json:"test"`
 }
 
-var (
-	// ErrManifest reports an invalid manifest.
-	ErrManifest = errors.New("controller: invalid manifest")
+// ErrManifest reports an invalid manifest or node assignment. An invalid
+// spec inside a manifest reports scenario.ErrSpec.
+var ErrManifest = errors.New("controller: invalid manifest")
+
+// Node roles accepted by Start and garfield-node's -role flag.
+const (
+	RoleWorker = "worker"
+	RoleServer = "server"
 )
 
 // Parse decodes and validates a JSON manifest.
 func Parse(data []byte) (*Manifest, error) {
 	var m Manifest
-	dec := json.NewDecoder(strings.NewReader(string(data)))
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&m); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrManifest, err)
 	}
-	m.applyDefaults()
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
 	return &m, nil
 }
 
-func (m *Manifest) applyDefaults() {
-	if m.Protocol == "" {
-		m.Protocol = "ssmw"
+// Load reads and parses the manifest file at path.
+func Load(path string) (*Manifest, error) {
+	if path == "" {
+		return nil, fmt.Errorf("%w: no manifest file given", ErrManifest)
 	}
-	if m.Rule == "" {
-		m.Rule = gar.NameMedian
-	}
-	if m.ModelRule == "" {
-		m.ModelRule = gar.NameMedian
-	}
-	if m.Iterations == 0 {
-		m.Iterations = 100
-	}
-	if m.BatchSize == 0 {
-		m.BatchSize = 32
-	}
-	if m.LR == 0 {
-		m.LR = 0.25
-	}
-	if m.Dim == 0 {
-		m.Dim = 64
-	}
-	if m.Classes == 0 {
-		m.Classes = 10
-	}
-	if m.Train == 0 {
-		m.Train = 4000
-	}
-	if m.Test == 0 {
-		m.Test = 1000
-	}
-}
-
-// Validate checks the manifest against the protocol's requirements,
-// including the GAR resilience preconditions of Section 3.1.
-func (m *Manifest) Validate() error {
-	switch m.Protocol {
-	case "ssmw", "msmw", "decentralized":
-	default:
-		return fmt.Errorf("%w: protocol %q (want ssmw, msmw or decentralized)", ErrManifest, m.Protocol)
-	}
-	if len(m.Workers) == 0 {
-		return fmt.Errorf("%w: no workers", ErrManifest)
-	}
-	switch m.Protocol {
-	case "decentralized":
-		if len(m.Servers) != 0 {
-			return fmt.Errorf("%w: decentralized lists peers under workers; servers must be empty", ErrManifest)
-		}
-		if len(m.Workers) < 2 {
-			return fmt.Errorf("%w: decentralized needs >= 2 peers", ErrManifest)
-		}
-	case "ssmw":
-		if len(m.Servers) != 1 {
-			return fmt.Errorf("%w: ssmw needs exactly 1 server, got %d", ErrManifest, len(m.Servers))
-		}
-	case "msmw":
-		if len(m.Servers) < 2 {
-			return fmt.Errorf("%w: msmw needs >= 2 server replicas", ErrManifest)
-		}
-	}
-	if m.FW < 0 || m.FW >= len(m.Workers) {
-		return fmt.Errorf("%w: fw=%d of %d workers", ErrManifest, m.FW, len(m.Workers))
-	}
-	if m.FPS < 0 || (len(m.Servers) > 0 && m.FPS >= len(m.Servers)) {
-		return fmt.Errorf("%w: fps=%d of %d servers", ErrManifest, m.FPS, len(m.Servers))
-	}
-	if m.Protocol == "decentralized" && m.FPS != 0 {
-		return fmt.Errorf("%w: decentralized has no servers; set fps=0", ErrManifest)
-	}
-	if err := checkAddrs(m.Workers); err != nil {
-		return err
-	}
-	if err := checkAddrs(m.Servers); err != nil {
-		return err
-	}
-	// The gradient GAR must be satisfiable with the quorum the protocol
-	// collects: nw (ssmw, synchronous) or nw - fw (msmw and decentralized,
-	// asynchronous).
-	q := len(m.Workers)
-	if m.Protocol != "ssmw" {
-		q -= m.FW
-	}
-	minN, err := gar.MinN(m.Rule, m.FW)
+	raw, err := os.ReadFile(path)
 	if err != nil {
-		return fmt.Errorf("%w: %v", ErrManifest, err)
+		return nil, fmt.Errorf("%w: %v", ErrManifest, err)
 	}
-	if q < minN {
-		return fmt.Errorf("%w: rule %s with fw=%d needs %d inputs, protocol collects %d",
-			ErrManifest, m.Rule, m.FW, minN, q)
-	}
-	if m.Protocol == "msmw" {
-		qm := len(m.Servers) - m.FPS
-		minM, err := gar.MinN(m.ModelRule, m.FPS)
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrManifest, err)
-		}
-		if qm < minM {
-			return fmt.Errorf("%w: model rule %s with fps=%d needs %d inputs, protocol collects %d",
-				ErrManifest, m.ModelRule, m.FPS, minM, qm)
-		}
-	}
-	return nil
+	return Parse(raw)
 }
 
-func checkAddrs(addrs []string) error {
-	seen := make(map[string]bool, len(addrs))
-	for _, a := range addrs {
+// nps returns the number of server replicas the spec materializes.
+func (m *Manifest) nps() int {
+	if m.Spec.Topology == scenario.TopoDecentralized {
+		return m.Spec.NW
+	}
+	return max(m.Spec.NPS, 1) // single-server topologies materialize one server
+}
+
+// Validate checks the spec (topology, fleet shape against the rules' n >=
+// g(f) floors, task, attacks — everything scenario.Spec.Validate checks),
+// that the spec is one a set of processes can run, and that the address book
+// names every node exactly once.
+func (m *Manifest) Validate() error {
+	sp := m.Spec
+	if err := sp.Validate(); err != nil {
+		return err
+	}
+	switch {
+	case len(sp.Faults) > 0:
+		return fmt.Errorf("%w: spec.faults: fault schedules inject through the in-process transport", ErrManifest)
+	case sp.Engine == scenario.EngineSim:
+		return fmt.Errorf("%w: spec.engine %q runs in one process", ErrManifest, sp.Engine)
+	case sp.Async:
+		return fmt.Errorf("%w: spec.async: the bounded-staleness engine drives every replica from one process", ErrManifest)
+	case sp.Topology == scenario.TopoSharded:
+		return fmt.Errorf("%w: spec.topology %q: all-or-abort rounds need the in-process stage barrier", ErrManifest, sp.Topology)
+	}
+	if len(m.Workers) != sp.NW {
+		return fmt.Errorf("%w: workers lists %d addresses, spec.nw is %d", ErrManifest, len(m.Workers), sp.NW)
+	}
+	if len(m.Servers) != m.nps() {
+		return fmt.Errorf("%w: servers lists %d addresses, the spec materializes %d server replicas",
+			ErrManifest, len(m.Servers), m.nps())
+	}
+	seen := make(map[string]bool, len(m.Workers)+len(m.Servers))
+	for _, a := range append(append([]string(nil), m.Workers...), m.Servers...) {
 		if !strings.Contains(a, ":") {
 			return fmt.Errorf("%w: address %q is not host:port", ErrManifest, a)
 		}
@@ -185,71 +118,56 @@ func checkAddrs(addrs []string) error {
 	return nil
 }
 
+// drives reports whether the node runs a training loop — and exits when it
+// is done — or only answers pulls until it is stopped: workers, declared-
+// Byzantine replicas and the unused replicas of single-server topologies are
+// passive. It must agree with the replica sets core's steppers drive; a
+// mismatch surfaces as an error from the first round, not a wrong result.
+func (m *Manifest) drives(role string, i int) bool {
+	if role != RoleServer {
+		return false
+	}
+	switch sp := m.Spec; sp.Topology {
+	case scenario.TopoDecentralized:
+		return i < sp.NW-sp.FW
+	case scenario.TopoMSMW:
+		return i < sp.NPS-sp.FPS
+	case scenario.TopoCrashTolerant:
+		return true
+	default:
+		return i == 0
+	}
+}
+
 // NodeCommand is one process the deployment needs: the garfield-node
-// argument vector to run (on the host owning Addr).
+// argument vector to run on the host owning Addr.
 type NodeCommand struct {
-	// Role is "worker" or "server".
-	Role string
-	// Addr is the node's listen address.
-	Addr string
-	// Args is the full garfield-node argument list (excluding the binary
-	// name).
+	// Role and Index name the node; Addr is its listen address.
+	Role  string
+	Index int
+	Addr  string
+	// Drives is false for nodes that serve until stopped (see drives).
+	Drives bool
+	// Args is the garfield-node argument list (excluding the binary name).
 	Args []string
 }
 
-// Commands expands the manifest into one command per node — the launch plan
-// the paper's controller executes over SSH.
-func (m *Manifest) Commands() []NodeCommand {
-	shared := []string{
-		"-nw", strconv.Itoa(len(m.Workers)),
-		"-batch", strconv.Itoa(m.BatchSize),
-		"-dim", strconv.Itoa(m.Dim),
-		"-classes", strconv.Itoa(m.Classes),
-		"-train", strconv.Itoa(m.Train),
-		"-test", strconv.Itoa(m.Test),
-		"-seed", strconv.FormatUint(m.Seed, 10),
-	}
-	cmds := make([]NodeCommand, 0, len(m.Workers)+len(m.Servers))
-	if m.Protocol == "decentralized" {
-		for i, addr := range m.Workers {
-			args := []string{
-				"-role", "peer",
-				"-listen", addr,
-				"-index", strconv.Itoa(i),
-				"-peers", strings.Join(m.Workers, ","),
-				"-rule", m.Rule,
-				"-model-rule", m.ModelRule,
-				"-fw", strconv.Itoa(m.FW),
-				"-iterations", strconv.Itoa(m.Iterations),
-				"-lr", strconv.FormatFloat(m.LR, 'g', -1, 64),
-			}
-			args = append(args, shared...)
-			cmds = append(cmds, NodeCommand{Role: "peer", Addr: addr, Args: args})
+// Commands expands the manifest stored at path into one command per process
+// — the launch plan the paper's controller executes over SSH. Decentralized
+// peers are one process each, launched as their server half.
+func (m *Manifest) Commands(path string) []NodeCommand {
+	var cmds []NodeCommand
+	add := func(role string, addrs []string) {
+		for i, addr := range addrs {
+			cmds = append(cmds, NodeCommand{
+				Role: role, Index: i, Addr: addr, Drives: m.drives(role, i),
+				Args: []string{"-manifest", path, "-role", role, "-index", strconv.Itoa(i)},
+			})
 		}
-		return cmds
 	}
-	for i, addr := range m.Workers {
-		args := []string{"-role", "worker", "-listen", addr, "-index", strconv.Itoa(i)}
-		args = append(args, shared...)
-		cmds = append(cmds, NodeCommand{Role: "worker", Addr: addr, Args: args})
+	if m.Spec.Topology != scenario.TopoDecentralized {
+		add(RoleWorker, m.Workers)
 	}
-	for _, addr := range m.Servers {
-		args := []string{
-			"-role", "server",
-			"-listen", addr,
-			"-workers", strings.Join(m.Workers, ","),
-			"-rule", m.Rule,
-			"-model-rule", m.ModelRule,
-			"-fw", strconv.Itoa(m.FW),
-			"-fps", strconv.Itoa(m.FPS),
-			"-iterations", strconv.Itoa(m.Iterations),
-			"-lr", strconv.FormatFloat(m.LR, 'g', -1, 64),
-		}
-		if m.Protocol == "msmw" {
-			args = append(args, "-peers", strings.Join(m.Servers, ","))
-		}
-		args = append(args, shared...)
-		cmds = append(cmds, NodeCommand{Role: "server", Addr: addr, Args: args})
-	}
+	add(RoleServer, m.Servers)
 	return cmds
 }

@@ -2,24 +2,26 @@ package controller
 
 import (
 	"errors"
-	"strings"
 	"testing"
+
+	"garfield/internal/scenario"
 )
 
-func decentralizedManifest() *Manifest {
-	m := &Manifest{
-		Protocol: "decentralized",
-		Workers:  []string{"a:1", "b:1", "c:1", "d:1", "e:1"},
-		FW:       1,
-		Rule:     "median",
+// decentralizedManifest is five peers, one of them declared Byzantine; peer
+// i is the pair (Workers[i], Servers[i]).
+func decentralizedManifest(t *testing.T) *Manifest {
+	t.Helper()
+	m, err := Parse([]byte(validManifest()))
+	if err != nil {
+		t.Fatal(err)
 	}
-	m.applyDefaults()
+	m.Spec.Topology, m.Spec.NPS, m.Spec.FPS = scenario.TopoDecentralized, 0, 0
+	m.Servers = []string{"a:2", "b:2", "c:2", "d:2", "e:2"}
 	return m
 }
 
 func TestDecentralizedManifestValidates(t *testing.T) {
-	m := decentralizedManifest()
-	if err := m.Validate(); err != nil {
+	if err := decentralizedManifest(t).Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -28,45 +30,37 @@ func TestDecentralizedManifestErrors(t *testing.T) {
 	tests := []struct {
 		name   string
 		mutate func(*Manifest)
+		is     error
 	}{
-		{"servers present", func(m *Manifest) { m.Servers = []string{"s:1"} }},
-		{"one peer", func(m *Manifest) { m.Workers = m.Workers[:1] }},
-		{"fps nonzero", func(m *Manifest) { m.FPS = 1 }},
-		{"quorum unsatisfiable", func(m *Manifest) { m.FW = 2 }}, // q = 3 < 2f+1 = 5
+		{"server halves missing", func(m *Manifest) { m.Servers = nil }, ErrManifest},
+		{"one peer", func(m *Manifest) { m.Spec.NW, m.Workers, m.Servers = 1, m.Workers[:1], m.Servers[:1] }, scenario.ErrSpec},
+		{"quorum unsatisfiable", func(m *Manifest) { m.Spec.FW = 2 }, scenario.ErrSpec}, // q = 3 < 2f+1 = 5
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			m := decentralizedManifest()
+			m := decentralizedManifest(t)
 			tt.mutate(m)
-			if err := m.Validate(); !errors.Is(err, ErrManifest) {
-				t.Fatalf("err = %v, want ErrManifest", err)
+			if err := m.Validate(); !errors.Is(err, tt.is) {
+				t.Fatalf("err = %v, want %v", err, tt.is)
 			}
 		})
 	}
 }
 
 func TestDecentralizedCommands(t *testing.T) {
-	m := decentralizedManifest()
-	cmds := m.Commands()
+	m := decentralizedManifest(t)
+	cmds := m.Commands("m.json")
 	if len(cmds) != 5 {
-		t.Fatalf("commands = %d, want 5", len(cmds))
+		t.Fatalf("commands = %d, want one per peer", len(cmds))
 	}
 	for i, c := range cmds {
-		if c.Role != "peer" {
-			t.Fatalf("role = %q", c.Role)
+		// Each peer is one process, launched as its server half; the last
+		// fw=1 peer is declared Byzantine and only serves.
+		if c.Role != RoleServer || c.Index != i || c.Addr != m.Servers[i] || c.Drives != (i < 4) {
+			t.Fatalf("command %d = %+v", i, c)
 		}
-		joined := strings.Join(c.Args, " ")
-		if !strings.Contains(joined, "-role peer") {
-			t.Fatalf("args = %q", joined)
-		}
-		if !strings.Contains(joined, "-peers a:1,b:1,c:1,d:1,e:1") {
-			t.Fatalf("missing peer list: %q", joined)
-		}
-		if !strings.Contains(joined, "-fw 1") {
-			t.Fatalf("missing fw: %q", joined)
-		}
-		if i == 2 && !strings.Contains(joined, "-index 2") {
-			t.Fatalf("missing index: %q", joined)
-		}
+	}
+	if _, err := Start(m, RoleWorker, 0, nil); !errors.Is(err, ErrManifest) {
+		t.Fatalf("a decentralized worker-only node must be refused, err = %v", err)
 	}
 }

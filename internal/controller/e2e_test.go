@@ -3,58 +3,54 @@ package controller
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"garfield/internal/scenario"
 )
 
 // TestLauncherEndToEnd builds the real garfield-node binary and deploys a
 // complete SSMW cluster as child processes over loopback TCP — the full
-// multi-process path of the paper's Controller module.
+// multi-process path of the paper's Controller module. Nothing orders the
+// children's startup but the server's own readiness gate.
 func TestLauncherEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process deployment skipped in -short mode")
 	}
-	binary := filepath.Join(t.TempDir(), "garfield-node")
+	dir := t.TempDir()
+	binary := filepath.Join(dir, "garfield-node")
 	build := exec.Command("go", "build", "-o", binary, "garfield/cmd/garfield-node")
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("build garfield-node: %v\n%s", err, out)
 	}
 
-	ports := freeLoopbackPorts(t, 4)
-	m := &Manifest{
-		Protocol:   "ssmw",
-		Workers:    ports[:3],
-		Servers:    ports[3:],
-		FW:         0,
-		Rule:       "median",
-		Iterations: 20,
-		BatchSize:  16,
-		Seed:       21,
-		LR:         0.5,
-		Dim:        16,
-		Classes:    3,
-		Train:      400,
-		Test:       150,
+	sp := testSpec(scenario.TopoSSMW, 3, 0, 21)
+	sp.Iterations = 20
+	m := manifestFor(t, sp, freeLoopbackPorts(t, 4))
+	raw, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := m.Validate(); err != nil {
+	path := filepath.Join(dir, "manifest.json")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if m, err = Load(path); err != nil {
 		t.Fatal(err)
 	}
 
 	var out bytes.Buffer
-	l := Launcher{
-		Binary:       binary,
-		Stdout:       &out,
-		Stderr:       &out,
-		StartupDelay: 500 * time.Millisecond,
-	}
+	l := Launcher{Binary: binary, Stdout: &out, Stderr: &out}
 	ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
 	defer cancel()
-	if err := l.Run(ctx, m); err != nil {
+	if err := l.Run(ctx, m.Commands(path)); err != nil {
 		t.Fatalf("launcher: %v\noutput:\n%s", err, out.String())
 	}
 	if !strings.Contains(out.String(), "done: final accuracy") {

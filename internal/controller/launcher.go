@@ -6,22 +6,19 @@ import (
 	"io"
 	"os/exec"
 	"sync"
-	"time"
 )
 
-// Launcher runs a manifest's node commands as local child processes — the
-// single-machine counterpart of the paper's SSH deployment. Workers are
-// started first (they serve passively), then servers; the launcher waits for
-// the servers to exit and then terminates the workers.
+// Launcher runs a launch plan as local child processes — the single-machine
+// counterpart of the paper's SSH deployment. Start order does not matter:
+// every driving node gates its first round on its peers answering (awaitPeers).
+// The launcher waits for the driving nodes to exit and then terminates the
+// ones that only serve.
 type Launcher struct {
 	// Binary is the garfield-node executable path.
 	Binary string
 	// Stdout and Stderr receive the children's combined output.
 	Stdout io.Writer
 	Stderr io.Writer
-	// StartupDelay is how long to wait after starting the workers before
-	// starting the servers (lets listeners come up).
-	StartupDelay time.Duration
 }
 
 // syncWriter serializes writes from concurrently-running child processes;
@@ -40,84 +37,53 @@ func (s *syncWriter) Write(p []byte) (int, error) {
 	return s.w.Write(p)
 }
 
-// Run deploys the manifest and blocks until the server processes finish or
-// the context is cancelled. Worker processes are killed on return.
-func (l *Launcher) Run(ctx context.Context, m *Manifest) error {
+// Run starts every command of the plan (Manifest.Commands) and blocks until
+// the driving nodes finish or the context is cancelled. Serving-only nodes
+// are killed on return.
+func (l *Launcher) Run(ctx context.Context, cmds []NodeCommand) error {
 	if l.Binary == "" {
 		return fmt.Errorf("%w: launcher needs the garfield-node binary path", ErrManifest)
 	}
 	stdout := &syncWriter{w: l.Stdout}
 	stderr := &syncWriter{w: l.Stderr}
-	delay := l.StartupDelay
-	if delay == 0 {
-		delay = 300 * time.Millisecond
-	}
-	cmds := m.Commands()
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	var workers []*exec.Cmd
-	stopWorkers := func() {
-		for _, w := range workers {
-			if w.Process != nil {
-				_ = w.Process.Kill()
-			}
+	var serving []*exec.Cmd
+	var wg sync.WaitGroup // the driving nodes
+	defer func() {
+		cancel() // CommandContext kills whatever is still running
+		wg.Wait()
+		for _, cmd := range serving {
+			_ = cmd.Wait()
 		}
-		for _, w := range workers {
-			_ = w.Wait()
-		}
-	}
-	for _, nc := range cmds {
-		if nc.Role != "worker" {
-			continue
-		}
-		cmd := exec.CommandContext(runCtx, l.Binary, nc.Args...)
-		cmd.Stdout = stdout
-		cmd.Stderr = stderr
-		if err := cmd.Start(); err != nil {
-			stopWorkers()
-			return fmt.Errorf("controller: start worker %s: %w", nc.Addr, err)
-		}
-		workers = append(workers, cmd)
-	}
-	defer stopWorkers()
-
-	timer := time.NewTimer(delay)
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-
-	// Servers and decentralized peers are the processes whose completion
-	// ends the deployment; passive workers are killed afterwards.
-	var wg sync.WaitGroup
+	}()
 	errs := make(chan error, len(cmds))
 	for _, nc := range cmds {
-		if nc.Role != "server" && nc.Role != "peer" {
-			continue
-		}
 		nc := nc
 		cmd := exec.CommandContext(runCtx, l.Binary, nc.Args...)
 		cmd.Stdout = stdout
 		cmd.Stderr = stderr
 		if err := cmd.Start(); err != nil {
-			return fmt.Errorf("controller: start server %s: %w", nc.Addr, err)
+			return fmt.Errorf("controller: start %s %d (%s): %w", nc.Role, nc.Index, nc.Addr, err)
+		}
+		if !nc.Drives {
+			serving = append(serving, cmd)
+			continue
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			if err := cmd.Wait(); err != nil {
-				errs <- fmt.Errorf("controller: server %s: %w", nc.Addr, err)
+				errs <- fmt.Errorf("controller: %s %d (%s): %w", nc.Role, nc.Index, nc.Addr, err)
 			}
 		}()
 	}
 	wg.Wait()
 	close(errs)
 	for err := range errs {
-		return err // report the first server failure
+		return err // report the first failure
 	}
 	return ctx.Err()
 }

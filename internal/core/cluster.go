@@ -143,12 +143,15 @@ type Config struct {
 	Deterministic bool
 }
 
+// DefaultPullTimeout bounds each pull round when Config.PullTimeout is zero.
+const DefaultPullTimeout = 30 * time.Second
+
 func (c *Config) defaults() {
 	if c.LR == nil {
 		c.LR = sgd.Constant(0.1)
 	}
 	if c.PullTimeout == 0 {
-		c.PullTimeout = 30 * time.Second
+		c.PullTimeout = DefaultPullTimeout
 	}
 	if c.ContractSteps == 0 {
 		c.ContractSteps = 1
@@ -275,6 +278,7 @@ type Cluster struct {
 	severBase map[string]uint64
 
 	initParams tensor.Vector
+	encoding   compress.Encoding // cfg.Compression, parsed once
 }
 
 // NewCluster shards the data, spawns nw worker nodes and nps server
@@ -322,122 +326,155 @@ func NewClusterWith(cfg Config, wiring Wiring) (*Cluster, error) {
 	rng := tensor.NewRNG(cfg.Seed)
 	c.initParams = cfg.Arch.InitParams(rng)
 	// validate() vetted the codec name already.
-	encoding, _ := compress.Parse(cfg.Compression)
+	c.encoding, _ = compress.Parse(cfg.Compression)
 
-	// Workers.
 	for i := 0; i < cfg.NW; i++ {
+		byz := i >= cfg.NW-cfg.FW
 		var atk attack.Attack
-		var opts []WorkerOption
-		if cfg.WorkerMomentum > 0 {
-			opts = append(opts, WithWorkerMomentum(cfg.WorkerMomentum))
-		}
-		if cfg.Deterministic {
-			opts = append(opts, WithDeterministicReplies())
-		}
-		if encoding != compress.EncFP64 {
-			// Every worker compresses — Byzantine ones included: the codec
-			// is deployment infrastructure, and whether an attack survives
-			// quantization is exactly what the ext-compress study measures.
-			opts = append(opts, WithCompression(encoding, cfg.TopK))
-		}
-		if i >= cfg.NW-cfg.FW {
+		if byz {
 			atk = cfg.WorkerAttack
-			if cfg.AttackSelfPeers > 0 {
-				opts = append(opts, WithSelfEstimatedPeers(cfg.AttackSelfPeers))
-			}
 		}
-		opts = append(opts, withWorkerClock(c.clock))
-		w, err := NewWorker(cfg.Arch, shards[i], cfg.BatchSize, cfg.Seed+uint64(i)+1, atk, opts...)
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		addr := "worker-" + strconv.Itoa(i)
-		srv, err := c.wiring.Serve(addr, w)
-		if err != nil {
+		if err := c.addWorker(shards[i], atk, byz); err != nil {
 			c.Close()
 			return nil, fmt.Errorf("core: start worker %d: %w", i, err)
-		}
-		c.workers = append(c.workers, w)
-		c.workerAddrs = append(c.workerAddrs, addr)
-		c.workerSrv = append(c.workerSrv, srv)
-		c.workerActive = append(c.workerActive, true)
-		c.workerByz = append(c.workerByz, i >= cfg.NW-cfg.FW)
-		if c.net != nil {
-			c.severBase[addr] = c.net.SeverEpoch(addr)
 		}
 	}
 
 	// Server replica addresses are fixed before construction so each
 	// server knows its peer set.
-	for i := 0; i < cfg.NPS; i++ {
-		c.serverAddrs = append(c.serverAddrs, "server-"+strconv.Itoa(i))
+	peers := make([]string, cfg.NPS)
+	for i := range peers {
+		peers[i] = "server-" + strconv.Itoa(i)
 	}
 	for i := 0; i < cfg.NPS; i++ {
+		byz := i >= cfg.NPS-cfg.FPS
 		var atk attack.Attack
-		if i >= cfg.NPS-cfg.FPS {
+		if byz {
 			atk = cfg.ServerAttack
 		}
-		opt, err := newOptimizer(cfg)
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		// Under the live wiring this is a pooled persistent client
-		// (Section 4.1's channel reuse): the steady-state pull loop pays no
-		// per-call dial. Each replica owns its own caller — the pool
-		// serializes same-peer calls per client, so sharing one across
-		// replicas would serialize the replicas' concurrent pulls to the
-		// same worker. The caller is bound to the replica's address (so
-		// partition cuts know the dial's source) and stamps it as the
-		// caller identity (so adversarial handlers can equivocate
-		// deterministically per puller).
-		client := c.wiring.NewCaller(c.serverAddrs[i])
-		c.clients = append(c.clients, client)
-		s, err := NewServer(ServerConfig{
-			Arch:          cfg.Arch,
-			Init:          c.initParams,
-			Optimizer:     opt,
-			Client:        client,
-			Workers:       c.workerAddrs,
-			Peers:         c.serverAddrs,
-			Attack:        atk,
-			Deterministic: cfg.Deterministic,
-			Accept:        encoding,
-		})
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		// Declared-Byzantine replicas get the ByzantineServer wrapper —
-		// honest passthrough unless ServerByz names a mode — so scheduled
-		// byz-server faults can flip their behaviour at runtime.
-		var handler rpc.Handler = s
-		var byz *ByzantineServer
-		if i >= cfg.NPS-cfg.FPS {
-			byz, err = NewByzantineServer(s, cfg.ServerByz.Mode, byzSeed(cfg.Seed, i), cfg.ServerByz.Scale)
-			if err != nil {
-				c.Close()
-				return nil, err
-			}
-			handler = byz
-		}
-		srv, err := c.wiring.Serve(c.serverAddrs[i], handler)
-		if err != nil {
+		if err := c.addServer(c.workerAddrs, peers, atk, byz, nil); err != nil {
 			c.Close()
 			return nil, fmt.Errorf("core: start server %d: %w", i, err)
 		}
-		c.servers = append(c.servers, s)
-		c.byzServers = append(c.byzServers, byz)
-		c.serverSrv = append(c.serverSrv, srv)
-		c.serverActive = append(c.serverActive, true)
-		c.serverByz = append(c.serverByz, i >= cfg.NPS-cfg.FPS)
-		c.crashed = append(c.crashed, new(atomic.Bool))
-		if c.net != nil {
-			c.severBase[c.serverAddrs[i]] = c.net.SeverEpoch(c.serverAddrs[i])
-		}
 	}
 	return c, nil
+}
+
+// addWorker builds the next worker slot over shard with the deployment's
+// options (momentum, deterministic replies, codec, clock), serves it and
+// appends it to the node tables. The construction-time fleet and mid-run
+// joiners (honest: nil attack, byz false) are built here alike; the slot
+// index fixes the address and the sampler seed.
+func (c *Cluster) addWorker(shard *data.Dataset, atk attack.Attack, byz bool) error {
+	cfg, idx := c.cfg, len(c.workers)
+	var opts []WorkerOption
+	if cfg.WorkerMomentum > 0 {
+		opts = append(opts, WithWorkerMomentum(cfg.WorkerMomentum))
+	}
+	if cfg.Deterministic {
+		opts = append(opts, WithDeterministicReplies())
+	}
+	if c.encoding != compress.EncFP64 {
+		// Every worker compresses — Byzantine ones included: the codec
+		// is deployment infrastructure, and whether an attack survives
+		// quantization is exactly what the ext-compress study measures.
+		opts = append(opts, WithCompression(c.encoding, cfg.TopK))
+	}
+	if byz && cfg.AttackSelfPeers > 0 {
+		opts = append(opts, WithSelfEstimatedPeers(cfg.AttackSelfPeers))
+	}
+	opts = append(opts, withWorkerClock(c.clock))
+	w, err := NewWorker(cfg.Arch, shard, cfg.BatchSize, cfg.Seed+uint64(idx)+1, atk, opts...)
+	if err != nil {
+		return err
+	}
+	addr := "worker-" + strconv.Itoa(idx)
+	srv, err := c.wiring.Serve(addr, w)
+	if err != nil {
+		return err
+	}
+	c.workers = append(c.workers, w)
+	c.workerAddrs = append(c.workerAddrs, addr)
+	c.workerSrv = append(c.workerSrv, srv)
+	c.workerActive = append(c.workerActive, true)
+	c.workerByz = append(c.workerByz, byz)
+	if c.net != nil {
+		c.severBase[addr] = c.net.SeverEpoch(addr)
+	}
+	return nil
+}
+
+// addServer builds the next server replica slot pulling from workers and
+// peers (which includes its own address), bootstraps it from checkpoint when
+// one is given (joiners), serves it and appends it to the node tables.
+func (c *Cluster) addServer(workers, peers []string, atk attack.Attack, byz bool, checkpoint io.Reader) error {
+	cfg, idx := c.cfg, len(c.servers)
+	addr := "server-" + strconv.Itoa(idx)
+	opt, err := newOptimizer(cfg)
+	if err != nil {
+		return err
+	}
+	// Under the live wiring this is a pooled persistent client
+	// (Section 4.1's channel reuse): the steady-state pull loop pays no
+	// per-call dial. Each replica owns its own caller — the pool
+	// serializes same-peer calls per client, so sharing one across
+	// replicas would serialize the replicas' concurrent pulls to the
+	// same worker. The caller is bound to the replica's address (so
+	// partition cuts know the dial's source) and stamps it as the
+	// caller identity (so adversarial handlers can equivocate
+	// deterministically per puller).
+	client := c.wiring.NewCaller(addr)
+	fail := func(err error) error {
+		closeCaller(client)
+		return err
+	}
+	s, err := NewServer(ServerConfig{
+		Arch:          cfg.Arch,
+		Init:          c.initParams,
+		Optimizer:     opt,
+		Client:        client,
+		Workers:       workers,
+		Peers:         peers,
+		Attack:        atk,
+		Deterministic: cfg.Deterministic,
+		Accept:        c.encoding,
+	})
+	if err != nil {
+		return fail(err)
+	}
+	if checkpoint != nil {
+		if err := s.LoadCheckpoint(checkpoint); err != nil {
+			return fail(fmt.Errorf("bootstrap: %w", err))
+		}
+	}
+	// Declared-Byzantine replicas get the ByzantineServer wrapper —
+	// honest passthrough unless ServerByz names a mode — so scheduled
+	// byz-server faults can flip their behaviour at runtime.
+	var handler rpc.Handler = s
+	var byzSrv *ByzantineServer
+	if byz {
+		byzSrv, err = NewByzantineServer(s, cfg.ServerByz.Mode, byzSeed(cfg.Seed, idx), cfg.ServerByz.Scale)
+		if err != nil {
+			return fail(err)
+		}
+		handler = byzSrv
+	}
+	srv, err := c.wiring.Serve(addr, handler)
+	if err != nil {
+		return fail(err)
+	}
+	c.clients = append(c.clients, client)
+	c.servers = append(c.servers, s)
+	c.byzServers = append(c.byzServers, byzSrv)
+	c.serverAddrs = append(c.serverAddrs, addr)
+	c.serverSrv = append(c.serverSrv, srv)
+	c.serverActive = append(c.serverActive, true)
+	c.serverByz = append(c.serverByz, byz)
+	c.crashed = append(c.crashed, new(atomic.Bool))
+	if c.net != nil {
+		c.severBase[addr] = c.net.SeverEpoch(addr)
+	}
+	return nil
 }
 
 // byzSeed derives a replica's Byzantine noise seed from the cluster seed by
@@ -486,6 +523,17 @@ func (c *Cluster) Close() {
 func (c *Cluster) Server(i int) *Server {
 	c.memMu.RLock()
 	defer c.memMu.RUnlock()
+	return c.servers[i]
+}
+
+// hostedServer returns replica i if this process serves it and nil if another
+// process does (see Wiring.Serve); rounds drive only hosted replicas.
+func (c *Cluster) hostedServer(i int) *Server {
+	c.memMu.RLock()
+	defer c.memMu.RUnlock()
+	if c.serverSrv[i] == nil {
+		return nil
+	}
 	return c.servers[i]
 }
 

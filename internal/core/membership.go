@@ -8,9 +8,7 @@ import (
 	"io"
 	"math"
 	"strconv"
-	"sync/atomic"
 
-	"garfield/internal/compress"
 	"garfield/internal/data"
 	"garfield/internal/gar"
 )
@@ -113,48 +111,49 @@ func (c *Cluster) rosterLocked() Roster {
 	return r
 }
 
-// validateTransition checks a prospective fleet shape against the resilience
-// requirements of the configured rules: the gradient GAR's n >= g(f) floor,
-// the asynchronous quorum q = n - f (the q fastest replies must still be
-// enough inputs for the GAR), and — when the deployment is replicated — the
-// model-aggregation rule's floor across server replicas. A transition that
-// fails validation is rejected and leaves the roster unchanged.
-func (c *Cluster) validateTransition(nw, fw, nps, fps int) error {
-	if nw < 1 {
-		return fmt.Errorf("%w: roster transition leaves no workers", ErrConfig)
+// ValidateFleet checks a fleet shape against the resilience requirements of
+// the rules that aggregate over it: the gradient GAR's n >= g(f) floor, the
+// asynchronous quorum q = n - f (the q fastest replies must still be enough
+// inputs for the GAR), and — when the deployment is replicated — the
+// model-aggregation rule's floor across server replicas. It is the one place
+// these floors are computed: the membership layer runs it on every roster
+// transition, scenario validation on every step of a churn schedule.
+func ValidateFleet(rule, modelRule string, nw, fw, nps, fps int) error {
+	if nw < 1 || fw >= nw {
+		return fmt.Errorf("%w: roster left with nw=%d fw=%d", ErrConfig, nw, fw)
 	}
-	if fw >= nw {
-		return fmt.Errorf("%w: roster transition leaves fw=%d of nw=%d", ErrConfig, fw, nw)
-	}
-	min, err := gar.MinN(c.cfg.Rule, fw)
+	min, err := gar.MinN(rule, fw)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrConfig, err)
 	}
 	if nw < min {
-		return fmt.Errorf("%w: roster transition leaves nw=%d < g(f)=%d for rule %q at fw=%d",
-			ErrConfig, nw, min, c.cfg.Rule, fw)
+		return fmt.Errorf("%w: roster transition leaves nw=%d below g(f)=%d for rule %q at fw=%d",
+			ErrConfig, nw, min, rule, fw)
 	}
 	if q := nw - fw; q < min {
-		return fmt.Errorf("%w: roster transition leaves async quorum q=n-f=%d < g(f)=%d for rule %q at fw=%d",
-			ErrConfig, q, min, c.cfg.Rule, fw)
+		return fmt.Errorf("%w: roster transition leaves async quorum q=n-f=%d below g(f)=%d for rule %q at fw=%d",
+			ErrConfig, q, min, rule, fw)
 	}
-	if nps < 1 {
-		return fmt.Errorf("%w: roster transition leaves no server replicas", ErrConfig)
-	}
-	if fps >= nps {
-		return fmt.Errorf("%w: roster transition leaves fps=%d of nps=%d", ErrConfig, fps, nps)
+	if nps < 1 || fps >= nps {
+		return fmt.Errorf("%w: roster left with nps=%d fps=%d", ErrConfig, nps, fps)
 	}
 	if nps >= 2 {
-		minM, err := gar.MinN(c.cfg.ModelRule, fps)
+		minM, err := gar.MinN(modelRule, fps)
 		if err != nil {
 			return fmt.Errorf("%w: %v", ErrConfig, err)
 		}
 		if nps < minM {
-			return fmt.Errorf("%w: roster transition leaves nps=%d < g(f)=%d for model rule %q at fps=%d",
-				ErrConfig, nps, minM, c.cfg.ModelRule, fps)
+			return fmt.Errorf("%w: roster transition leaves nps=%d below g(f)=%d for model rule %q at fps=%d",
+				ErrConfig, nps, minM, modelRule, fps)
 		}
 	}
 	return nil
+}
+
+// validateTransition is ValidateFleet for the configured rules. A transition
+// that fails it is rejected and leaves the roster unchanged.
+func (c *Cluster) validateTransition(nw, fw, nps, fps int) error {
+	return ValidateFleet(c.cfg.Rule, c.cfg.ModelRule, nw, fw, nps, fps)
 }
 
 // prospective returns the fleet shape the current active flags describe,
@@ -224,35 +223,8 @@ func (c *Cluster) joinWorkerLocked() (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("core: join worker %d: shard data: %w", idx, err)
 	}
-	var opts []WorkerOption
-	if c.cfg.WorkerMomentum > 0 {
-		opts = append(opts, WithWorkerMomentum(c.cfg.WorkerMomentum))
-	}
-	if c.cfg.Deterministic {
-		opts = append(opts, WithDeterministicReplies())
-	}
-	encoding, _ := compress.Parse(c.cfg.Compression)
-	if encoding != compress.EncFP64 {
-		opts = append(opts, WithCompression(encoding, c.cfg.TopK))
-	}
-	opts = append(opts, withWorkerClock(c.clock))
-	w, err := NewWorker(c.cfg.Arch, shards[idx%c.cfg.NW], c.cfg.BatchSize,
-		c.cfg.Seed+uint64(idx)+1, nil, opts...)
-	if err != nil {
+	if err := c.addWorker(shards[idx%c.cfg.NW], nil, false); err != nil {
 		return 0, fmt.Errorf("core: join worker %d: %w", idx, err)
-	}
-	addr := "worker-" + strconv.Itoa(idx)
-	srv, err := c.wiring.Serve(addr, w)
-	if err != nil {
-		return 0, fmt.Errorf("core: join worker %d: %w", idx, err)
-	}
-	c.workers = append(c.workers, w)
-	c.workerAddrs = append(c.workerAddrs, addr)
-	c.workerSrv = append(c.workerSrv, srv)
-	c.workerActive = append(c.workerActive, true)
-	c.workerByz = append(c.workerByz, false)
-	if c.net != nil {
-		c.severBase[addr] = c.net.SeverEpoch(addr)
 	}
 	return idx, nil
 }
@@ -288,47 +260,10 @@ func (c *Cluster) joinServerLocked(checkpoint io.Reader) (int, error) {
 		}
 		checkpoint = &buf
 	}
-	opt, err := newOptimizer(c.cfg)
-	if err != nil {
-		return 0, err
-	}
-	addr := "server-" + strconv.Itoa(idx)
-	client := c.wiring.NewCaller(addr)
 	r := c.rosterLocked()
-	encoding, _ := compress.Parse(c.cfg.Compression)
-	s, err := NewServer(ServerConfig{
-		Arch:          c.cfg.Arch,
-		Init:          c.initParams,
-		Optimizer:     opt,
-		Client:        client,
-		Workers:       r.WorkerAddrs,
-		Peers:         append(append([]string(nil), r.ServerAddrs...), addr),
-		Deterministic: c.cfg.Deterministic,
-		Accept:        encoding,
-	})
-	if err != nil {
-		closeCaller(client)
+	peers := append(append([]string(nil), r.ServerAddrs...), "server-"+strconv.Itoa(idx))
+	if err := c.addServer(r.WorkerAddrs, peers, nil, false, checkpoint); err != nil {
 		return 0, fmt.Errorf("core: join server %d: %w", idx, err)
-	}
-	if err := s.LoadCheckpoint(checkpoint); err != nil {
-		closeCaller(client)
-		return 0, fmt.Errorf("core: join server %d: bootstrap: %w", idx, err)
-	}
-	srv, err := c.wiring.Serve(addr, s)
-	if err != nil {
-		closeCaller(client)
-		return 0, fmt.Errorf("core: join server %d: %w", idx, err)
-	}
-	c.clients = append(c.clients, client)
-	c.servers = append(c.servers, s)
-	c.byzServers = append(c.byzServers, nil)
-	c.serverAddrs = append(c.serverAddrs, addr)
-	c.serverSrv = append(c.serverSrv, srv)
-	c.serverActive = append(c.serverActive, true)
-	c.serverByz = append(c.serverByz, false)
-	c.crashed = append(c.crashed, new(atomic.Bool))
-	if c.net != nil {
-		c.severBase[addr] = c.net.SeverEpoch(addr)
 	}
 	// The bootstrap rolled the joiner's timeline back to the checkpoint;
 	// worker residuals reference the pre-join timeline.

@@ -37,7 +37,7 @@ type Server struct {
 	// peer i's reply decodes straight into slot i's reusable backing array
 	// (rpc.Caller.PullFirstQInto), so steady-state pulls allocate no
 	// per-reply vectors whatever codec is on the wire. Sharing one arena
-	// across GetGradients/GetModels/GetAggrGrads is safe because a server
+	// across gradient, model and aggregate pulls is safe because a server
 	// issues pulls one at a time and every protocol step aggregates a
 	// pull's replies — into the Aggregator's own scratch, which never
 	// aliases its inputs — before issuing the next pull.
@@ -342,17 +342,6 @@ func (s *Server) modelsReq(q int) pullReq {
 // (Listing 3).
 func (s *Server) aggrGradsReq(q int) pullReq {
 	return pullReq{what: "get_aggr_grads", req: rpc.Request{Kind: rpc.KindGetAggrGrad, Step: s.Step()}, peers: s.peerList(), q: q}
-}
-
-// GetGradients runs get_gradients(t, q) for callers that drive their own
-// training loop (cmd/garfield-node).
-func (s *Server) GetGradients(ctx context.Context, t int, q int) ([]tensor.Vector, error) {
-	return s.pull(ctx, s.gradientsReq(t, q))
-}
-
-// GetModels runs get_models(q); see GetGradients.
-func (s *Server) GetModels(ctx context.Context, q int) ([]tensor.Vector, error) {
-	return s.pull(ctx, s.modelsReq(q))
 }
 
 // replyVectors extracts the pulled vectors. Replies arrive fastest-first;

@@ -2,11 +2,14 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
+	"time"
 
 	"garfield/internal/gar"
 	"garfield/internal/metrics"
+	"garfield/internal/rpc"
 	"garfield/internal/tensor"
 )
 
@@ -93,6 +96,10 @@ type round struct {
 	ctx      context.Context
 	qw, qps  int
 	replicas []replica
+	// partial is set when some of the slots the round should drive are hosted
+	// by other processes (see Wiring.Serve): those replicas run the same round
+	// on their own schedule, with no stage boundary shared with this one.
+	partial bool
 
 	// Per-replica-slot aggregator caches behind bind.
 	gradAggs, modelAggs aggCache
@@ -103,12 +110,16 @@ type round struct {
 
 func (rd *round) Observed() *Server { return rd.replicas[0].s }
 
-// drive makes the given replica slots the round's replica set.
+// drive makes the given replica slots — those of them this process hosts —
+// the round's replica set.
 func (rd *round) drive(slots []int) {
 	rd.replicas = rd.replicas[:0]
 	for _, r := range slots {
-		rd.replicas = append(rd.replicas, replica{idx: r, s: rd.c.Server(r)})
+		if s := rd.c.hostedServer(r); s != nil {
+			rd.replicas = append(rd.replicas, replica{idx: r, s: s})
+		}
 	}
+	rd.partial = len(rd.replicas) < len(slots)
 }
 
 // bind resolves every replica's aggregators for the round's quorums: rule
@@ -140,6 +151,9 @@ func (rd *round) bind(rule string, fw int, modelRule string, fps int) error {
 // no later stage runs, no goroutine outlives the call, and the error names
 // the topology, iteration, replica and phase once, here.
 func (rd *round) run(i int, stages [][]phase) error {
+	if len(rd.replicas) == 0 {
+		return fmt.Errorf("%w: %s iteration %d: this process hosts none of the round's replicas", ErrConfig, rd.topology, i)
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), rd.c.cfg.PullTimeout)
 	defer cancel()
 	rd.iter, rd.ctx = i, ctx
@@ -226,10 +240,26 @@ func (rd *round) publish(k int) error {
 	return nil
 }
 
+// A peer declines the pull until it has published. In a full round the
+// publish stage has ended before this one starts, so a quorum miss is a
+// failure; in a partial round the peers elsewhere may simply not be there
+// yet, so the pull is repeated, paced on the cluster clock, until the round's
+// deadline.
 func (rd *round) contractPull(k int) error {
 	r := &rd.replicas[k]
-	return rd.pullInto(k, r.s.aggrGradsReq(rd.qps), r.gradAgg)
+	for backoff := contractRetryBase; ; backoff = min(2*backoff, contractRetryCap) {
+		err := rd.pullInto(k, r.s.aggrGradsReq(rd.qps), r.gradAgg)
+		if !rd.partial || !errors.Is(err, rpc.ErrQuorum) || rd.ctx.Err() != nil {
+			return err
+		}
+		rd.c.clock.Sleep(backoff)
+	}
 }
+
+const (
+	contractRetryBase = 2 * time.Millisecond
+	contractRetryCap  = 100 * time.Millisecond
+)
 
 // singleServerStepper is the round of the single-server topologies (vanilla,
 // SSMW, AggregaThor): the roster's first replica pulls a full worker quorum,

@@ -18,6 +18,10 @@ import (
 // process holds thousands of simulated nodes.
 type Wiring interface {
 	// Serve exposes handler at addr and returns a closer that withdraws it.
+	// A wiring that hosts only part of the cluster — one process of a
+	// multi-process deployment — returns a nil closer for an address another
+	// process serves: the cluster still builds that node, so slot indices,
+	// seeds and RNG draws agree across processes, but never drives it.
 	Serve(addr string, handler rpc.Handler) (io.Closer, error)
 	// NewCaller returns the pull client used by the node at address self.
 	// The caller must stamp self as the request origin when the request

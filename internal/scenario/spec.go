@@ -884,9 +884,10 @@ func (m *churnTrajectory) apply(sp Spec, i int, flt Fault) error {
 	return m.check(sp, i)
 }
 
-// check mirrors the membership layer's per-transition validation: the
-// gradient GAR's n >= g(f) floor, the async quorum q = n - f, and the
-// replicated-topology requirements on the server side.
+// check validates the simulated roster the way the membership layer will at
+// runtime (core.ValidateFleet: GAR floor, async quorum, model-rule floor),
+// plus the one requirement that belongs to the topology rather than the
+// fleet: msmw stays replicated.
 func (m *churnTrajectory) check(sp Spec, i int) error {
 	count := func(active, byz []bool) (n, f int) {
 		for j, a := range active {
@@ -901,36 +902,15 @@ func (m *churnTrajectory) check(sp Spec, i int) error {
 	}
 	nw, fw := count(m.workerActive, m.workerByz)
 	nps, fps := count(m.serverActive, m.serverByz)
-	if nw < 1 || fw >= nw {
-		return fmt.Errorf("%w: fault %d: roster left with nw=%d fw=%d", ErrSpec, i, nw, fw)
+	modelRule := sp.ModelRule
+	if modelRule == "" {
+		modelRule = gar.NameMedian
 	}
-	min, err := gar.MinN(sp.Rule, fw)
-	if err != nil {
+	if err := core.ValidateFleet(sp.Rule, modelRule, nw, fw, nps, fps); err != nil {
 		return fmt.Errorf("%w: fault %d: %v", ErrSpec, i, err)
-	}
-	if nw < min || nw-fw < min {
-		return fmt.Errorf("%w: fault %d: roster transition leaves nw=%d (q=%d) below g(f)=%d for rule %q at fw=%d",
-			ErrSpec, i, nw, nw-fw, min, sp.Rule, fw)
-	}
-	if nps < 1 || fps >= nps {
-		return fmt.Errorf("%w: fault %d: roster left with nps=%d fps=%d", ErrSpec, i, nps, fps)
 	}
 	if sp.Topology == TopoMSMW && nps < 2 {
 		return fmt.Errorf("%w: fault %d: msmw needs nps >= 2, roster transition leaves %d", ErrSpec, i, nps)
-	}
-	if nps >= 2 {
-		modelRule := sp.ModelRule
-		if modelRule == "" {
-			modelRule = gar.NameMedian
-		}
-		minM, err := gar.MinN(modelRule, fps)
-		if err != nil {
-			return fmt.Errorf("%w: fault %d: %v", ErrSpec, i, err)
-		}
-		if nps < minM {
-			return fmt.Errorf("%w: fault %d: roster transition leaves nps=%d below g(f)=%d for model rule %q at fps=%d",
-				ErrSpec, i, nps, minM, modelRule, fps)
-		}
 	}
 	return nil
 }
