@@ -97,6 +97,7 @@ func BenchmarkGARKrum(b *testing.B)        { benchRule(b, gar.NameKrum, 17, 3, 1
 func BenchmarkGARMultiKrum(b *testing.B)   { benchRule(b, gar.NameMultiKrum, 17, 3, 100_000) }
 func BenchmarkGARMDA(b *testing.B)         { benchRule(b, gar.NameMDA, 17, 3, 100_000) }
 func BenchmarkGARBulyan(b *testing.B)      { benchRule(b, gar.NameBulyan, 17, 3, 100_000) }
+func BenchmarkGARPhocas(b *testing.B)      { benchRule(b, gar.NamePhocas, 17, 3, 100_000) }
 
 // --- Model gradient micro-benchmarks (the worker's compute layer) ---
 
@@ -198,39 +199,6 @@ func BenchmarkShardedAggregation(b *testing.B) {
 }
 
 // --- Design ablations called out in DESIGN.md ---
-
-// BenchmarkAblationMedian compares the parallel coordinate-sharded median
-// (the paper's CPU strategy, Section 4.3) against a sequential baseline.
-func BenchmarkAblationMedian(b *testing.B) {
-	const n, f, d = 17, 3, 1_000_000
-	rng := tensor.NewRNG(7)
-	inputs := make([]tensor.Vector, n)
-	for i := range inputs {
-		inputs[i] = rng.NormalVector(d, 0, 1)
-	}
-	b.Run("parallel", func(b *testing.B) {
-		r, err := gar.NewMedian(n, f)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < b.N; i++ {
-			if _, err := r.Aggregate(inputs); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("sequential", func(b *testing.B) {
-		r, err := gar.NewSequentialMedian(n, f)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < b.N; i++ {
-			if _, err := r.Aggregate(inputs); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
 
 // BenchmarkAblationBulyanInner compares Bulyan's inner selection rules
 // (Multi-Krum, as evaluated in the paper, vs Median).

@@ -77,14 +77,10 @@ func (b *Bulyan) AggregateInto(dst tensor.Vector, inputs []tensor.Vector) (tenso
 		return nil, err
 	}
 	// Coordinate-wise median of the k selected gradients, then average of
-	// the k' = k - 2f values closest to the median, per coordinate — the
-	// coordinate-sharded bulyanKernel.
+	// the k' = k - 2f values closest to the median, per coordinate.
 	dst = tensor.Resize(dst, d)
 	a := b.s
-	a.cIn = append(a.cIn[:0], selected...)
-	a.cOut = dst
-	a.cKPrime = k - 2*b.f
-	a.runCoordinate(a.bulyanFn, d, 4*k)
+	a.runCoordinate(coordSpec{median: true, keep: k - 2*b.f}, dst, selected)
 	a.selected = clearVectors(a.selected)
 	return dst, nil
 }
@@ -149,18 +145,16 @@ func (b *Bulyan) selectOne(alive []int, inputs []tensor.Vector) (int, error) {
 		return best, nil
 	case NameMedian:
 		// Pick the pool element closest (in L2) to the coordinate-wise
-		// median of the pool, computed through the arena's median kernel
-		// (same order statistics as the Median rule, no per-iteration
-		// rule or pool construction).
+		// median of the pool, computed through the arena's coordinate
+		// kernel (same order statistics as the Median rule, no
+		// per-iteration rule or pool construction).
 		pool := a.chosen[:0]
 		for _, idx := range alive {
 			pool = append(pool, inputs[idx])
 		}
 		d := len(inputs[0])
 		b.center = tensor.Resize(b.center, d)
-		a.cIn = append(a.cIn[:0], pool...)
-		a.cOut = b.center
-		a.runCoordinate(a.medianFn, d, 2*q)
+		a.runCoordinate(coordSpec{median: true}, b.center, pool)
 		best := 0
 		bestD := math.Inf(1)
 		for i, v := range pool {

@@ -10,14 +10,17 @@
 // resilience precondition relating n and f at construction time:
 //
 //	Average      f == 0      O(nd)
-//	Median       n >= 2f+1   O(nd) best, O(n^2 d) worst
-//	TrimmedMean  n >= 2f+1   O(nd log n)
+//	Median       n >= 2f+1   O(nd log^2 n) for n <= 32, O(nd) expected above
+//	TrimmedMean  n >= 2f+1   O(nd log^2 n) for n <= 32, O(nd log n) above
 //	Krum         n >= 2f+3   O(n^2 d)
 //	Multi-Krum   n >= 2f+3   O(n^2 d)
 //	MDA          n >= 2f+1   O(C(n,f) + n^2 d)
 //	Bulyan       n >= 4f+3   O(n^2 d)
 //	GeoMedian    n >= 2f+1   O(nd) per Weiszfeld iteration
-//	Phocas       n >= 2f+1   O(nd log n)
+//	Phocas       n >= 2f+1   as TrimmedMean, plus O(nd) for the closest n-f
+//
+// The log^2 n is the depth-times-width of a data-independent sorting network:
+// more comparisons than a sort, none of them a branch (see below).
 //
 // Violating a precondition fails New with ErrRequirement; unknown names fail
 // with ErrUnknownRule. The scenario engine surfaces both at spec-validation
@@ -51,7 +54,21 @@
 // (d²(i,j) = ‖i‖² + ‖j‖² − 2⟨i,j⟩, AVX2+FMA assembly with a purego
 // fallback) and a per-rule scratch arena, making steady-state aggregation
 // through AggregateInto allocation-free — the memory-management discipline
-// of Section 4.4 of the paper. See PERFORMANCE.md for the measured numbers
-// and golden_test.go for the bit-identical equivalence proofs against the
-// seed implementations.
+// of Section 4.4 of the paper.
+//
+// The coordinate-wise rules (Median, TrimmedMean, Phocas, Bulyan's second
+// phase) share one kernel, a coordSpec away from each other. Every pool share
+// owns a contiguous range of coordinates (Section 4.3's "continuous share");
+// for n <= 32 it copies an L1-sized tile — n rows of 4096/n coordinates —
+// into contiguous scratch and runs a Batcher merge-exchange network down the
+// rows, each comparator one branch-free min/max pass over two rows: the full
+// sort for the trimmed sums and the closest-k means, a network pruned to the
+// comparators that feed the middle ranks for a bare median. Above 32 a share
+// gathers one column at a time and selects (introselect) or sorts it. NaN,
+// which an adversary can send, is read as +Inf on both paths. Order
+// statistics are exact, so the two paths and any share count give the same
+// bits (tile_test.go checks both against one per-column reference).
+//
+// See PERFORMANCE.md for the measured numbers and golden_test.go for the
+// bit-identical equivalence proofs against the seed implementations.
 package gar

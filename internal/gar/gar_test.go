@@ -202,49 +202,6 @@ func TestMedianResistsOutlier(t *testing.T) {
 	}
 }
 
-func TestSequentialMedianMatchesParallel(t *testing.T) {
-	rng := tensor.NewRNG(13)
-	n, d := 9, 4001
-	in := make([]tensor.Vector, n)
-	for i := range in {
-		in[i] = rng.NormalVector(d, 0, 1)
-	}
-	par, err := NewMedian(n, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := NewSequentialMedian(n, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := par.Aggregate(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := seq.Aggregate(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("parallel/sequential medians differ at %d: %v vs %v", i, a[i], b[i])
-		}
-	}
-}
-
-func TestMedian3Branchless(t *testing.T) {
-	perms := [][3]float64{
-		{1, 2, 3}, {1, 3, 2}, {2, 1, 3}, {2, 3, 1}, {3, 1, 2}, {3, 2, 1},
-		{1, 1, 2}, {2, 2, 2}, {-5, 0, 5},
-	}
-	wants := []float64{2, 2, 2, 2, 2, 2, 1, 2, 0}
-	for i, p := range perms {
-		if got := median3(p[0], p[1], p[2]); got != wants[i] {
-			t.Fatalf("median3(%v) = %v, want %v", p, got, wants[i])
-		}
-	}
-}
-
 func TestKrumPicksHonestCluster(t *testing.T) {
 	k, err := NewKrum(9, 3)
 	if err != nil {

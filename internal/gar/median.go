@@ -12,18 +12,13 @@ import (
 // The implementation mirrors the paper's two execution strategies
 // (Section 4.3): coordinates are split into contiguous shares processed by
 // parallel workers (the CPU strategy: "each of the m cores processes a
-// continuous share of n/m coordinates"), and per-coordinate selection uses a
-// branch-minimal network for small n — the Go analogue of the paper's SIMT
-// selection-instruction trick — falling back to introselect-style
-// quickselect for larger n.
+// continuous share of n/m coordinates"), and within a share selection is a
+// branch-free min/max network run down a cache-sized tile of columns for
+// n <= 32 — the Go analogue of the paper's SIMT selection-instruction trick
+// (tile.go) — and introselect on one gathered column at a time above that.
 type Median struct {
 	n, f int
 	s    *arena
-
-	// parallel controls whether coordinate shares are processed by multiple
-	// goroutines. It exists so the ablation benchmark can compare the
-	// sequential and parallel designs; production callers leave it true.
-	parallel bool
 }
 
 var _ Rule = (*Median)(nil)
@@ -34,18 +29,7 @@ func NewMedian(n, f int) (*Median, error) {
 	if f < 0 || n < 2*f+1 {
 		return nil, fmt.Errorf("%w: median needs n >= 2f+1, got n=%d f=%d", ErrRequirement, n, f)
 	}
-	return &Median{n: n, f: f, s: newArena(n), parallel: true}, nil
-}
-
-// NewSequentialMedian returns a median rule that processes all coordinates on
-// the calling goroutine. It is used by the parallelization ablation bench.
-func NewSequentialMedian(n, f int) (*Median, error) {
-	m, err := NewMedian(n, f)
-	if err != nil {
-		return nil, err
-	}
-	m.parallel = false
-	return m, nil
+	return &Median{n: n, f: f, s: newArena(n)}, nil
 }
 
 // Name implements Rule.
@@ -71,14 +55,7 @@ func (m *Median) AggregateInto(dst tensor.Vector, inputs []tensor.Vector) (tenso
 	m.s.mu.Lock()
 	defer m.s.mu.Unlock()
 	dst = tensor.Resize(dst, d)
-	a := m.s
-	a.cIn = append(a.cIn[:0], inputs...)
-	a.cOut = dst
-	perCoord := 2 * m.n
-	if !m.parallel {
-		perCoord = 0 // below any parallel threshold: stay on this goroutine
-	}
-	a.runCoordinate(a.medianFn, d, perCoord)
+	m.s.runCoordinate(coordSpec{median: true}, dst, inputs)
 	return dst, nil
 }
 
@@ -88,14 +65,6 @@ func (m *Median) AggregateInto(dst tensor.Vector, inputs []tensor.Vector) (tenso
 // relies on).
 func medianOfColumn(col []float64) float64 {
 	n := len(col)
-	switch n {
-	case 1:
-		return col[0]
-	case 2:
-		return 0.5 * (col[0] + col[1])
-	case 3:
-		return median3(col[0], col[1], col[2])
-	}
 	if n%2 == 1 {
 		return quickselect(col, n/2)
 	}

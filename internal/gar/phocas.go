@@ -49,11 +49,6 @@ func (p *Phocas) AggregateInto(dst tensor.Vector, inputs []tensor.Vector) (tenso
 	p.s.mu.Lock()
 	defer p.s.mu.Unlock()
 	dst = tensor.Resize(dst, d)
-	a := p.s
-	a.cIn = append(a.cIn[:0], inputs...)
-	a.cOut = dst
-	a.cTrim = p.f
-	a.cKeep = p.n - p.f
-	a.runCoordinate(a.phocasFn, d, 4*p.n)
+	p.s.runCoordinate(coordSpec{trim: p.f, keep: p.n - p.f}, dst, inputs)
 	return dst, nil
 }

@@ -370,3 +370,57 @@ func naiveBulyanMedianInner(n, f int, inputs []tensor.Vector) (tensor.Vector, er
 	}
 	return out, nil
 }
+
+// referenceCoordinate is the per-column definition of the coordinate kernel
+// (scratch.go, tile.go): gather the column, read NaN as +Inf, sort it, take
+// the centre coordSpec names and, when keep > 0, the mean of the keep values
+// a stable sort by distance to that centre puts first. The tile kernel and
+// the per-column path above tileMaxN are both checked against it.
+func referenceCoordinate(spec coordSpec, inputs []tensor.Vector) tensor.Vector {
+	n := len(inputs)
+	out := tensor.New(len(inputs[0]))
+	col := make([]float64, n)
+	for c := range out {
+		for i, v := range inputs {
+			col[i] = v[c]
+			if math.IsNaN(col[i]) {
+				col[i] = math.Inf(1)
+			}
+		}
+		sort.Float64s(col)
+		var center float64
+		switch {
+		case !spec.median:
+			for _, x := range col[spec.trim : n-spec.trim] {
+				center += x
+			}
+			center /= float64(n - 2*spec.trim)
+		case n%2 == 1:
+			center = col[n/2]
+		default:
+			center = 0.5 * (col[n/2-1] + col[n/2])
+		}
+		out[c] = center
+		if spec.keep > 0 {
+			out[c] = referenceClosestMean(col, center, spec.keep)
+		}
+	}
+	return out
+}
+
+// referenceClosestMean sums, in the order of a stable sort by |x - center| of
+// the ascending column col, its first keep values, and divides by keep.
+func referenceClosestMean(col []float64, center float64, keep int) float64 {
+	order := make([]int, len(col))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		return math.Abs(col[order[a]]-center) < math.Abs(col[order[b]]-center)
+	})
+	var s float64
+	for _, idx := range order[:keep] {
+		s += col[idx]
+	}
+	return s / float64(keep)
+}

@@ -1,7 +1,7 @@
 package gar
 
 import (
-	"math"
+	"sort"
 	"sync"
 
 	"garfield/internal/tensor"
@@ -15,10 +15,12 @@ import (
 // construction; the O(n²) pairwise-distance machinery (dist, allPairs) is
 // built lazily on the first computeDistances call, so coordinate-wise rules
 // (median, trimmed mean, Phocas) never pay for it — at n = 10,000 the
-// distance matrix alone is 800 MB.
+// distance matrix alone is 800 MB. The tile scratch of the coordinate-wise
+// rules is lazy the other way round (ensureTiles), so Krum, Multi-Krum and
+// MDA never pay for it.
 //
 // The kernels dispatched to the worker pool are prebuilt method values that
-// read their per-call parameters (cIn, cOut, cKPrime) from arena fields, so
+// read their per-call parameters (cIn, cOut, cSpec) from arena fields, so
 // steady-state dispatch allocates nothing.
 //
 // An arena makes its rule stateful; the mutex serializes concurrent
@@ -50,21 +52,27 @@ type arena struct {
 	// MDA subset-enumeration state.
 	subset, bestSubset []int
 
-	// Coordinate-sharded kernels: one column + order buffer per share.
-	shareCols [][]float64
-	shareOrds [][]int
+	// Coordinate-sharded kernel: one column and one tile per share.
+	shareCols  [][]float64
+	shareTiles [][]float64
 
-	// Per-call parameters of the prebuilt coordinate kernels.
-	cIn     []tensor.Vector
-	cOut    tensor.Vector
-	cKPrime int
-	cKeep   int
-	cTrim   int
+	// Per-call parameters of the prebuilt coordinate kernel.
+	cIn   []tensor.Vector
+	cOut  tensor.Vector
+	cSpec coordSpec
 
-	blockFn  func(share, lo, hi int)
-	medianFn func(share, lo, hi int)
-	bulyanFn func(share, lo, hi int)
-	phocasFn func(share, lo, hi int)
+	blockFn func(share, lo, hi int)
+	coordFn func(share, lo, hi int)
+}
+
+// coordSpec is what the coordinate kernel computes per column: a centre —
+// the median, or the mean of the ranks [trim, n-trim) — and, when keep > 0,
+// the mean of the keep values closest to that centre instead of the centre.
+// Median is {median}, TrimmedMean {trim: f}, Phocas {trim: f, keep: n-f} and
+// Bulyan's coordinate phase {median, keep: k-2f}.
+type coordSpec struct {
+	median     bool
+	trim, keep int
 }
 
 // blockDim is the coordinate-block width of the Gram kernel: 4096 float64 =
@@ -93,15 +101,11 @@ func newArena(n int) *arena {
 	}
 	shares := maxShares()
 	a.shareCols = make([][]float64, shares)
-	a.shareOrds = make([][]int, shares)
 	for s := range a.shareCols {
 		a.shareCols[s] = make([]float64, n)
-		a.shareOrds[s] = make([]int, n)
 	}
 	a.blockFn = a.blockKernel
-	a.medianFn = a.medianKernel
-	a.bulyanFn = a.bulyanKernel
-	a.phocasFn = a.phocasKernel
+	a.coordFn = a.coordKernel
 	return a
 }
 
@@ -233,99 +237,97 @@ func (a *arena) krumScoresInto(f int) {
 	}
 }
 
-// medianKernel fills a.cOut[lo:hi] with the coordinate-wise medians of a.cIn.
-func (a *arena) medianKernel(share, lo, hi int) {
-	in := a.cIn
-	col := a.shareCols[share][:len(in)]
-	for c := lo; c < hi; c++ {
-		for i, v := range in {
-			col[i] = v[c]
-		}
-		a.cOut[c] = medianOfColumn(col)
+// ensureTiles builds the per-share tile scratch on first use.
+func (a *arena) ensureTiles() {
+	if a.shareTiles != nil {
+		return
+	}
+	a.shareTiles = make([][]float64, len(a.shareCols))
+	for s := range a.shareTiles {
+		a.shareTiles[s] = make([]float64, tileFloats)
 	}
 }
 
-// bulyanKernel fills a.cOut[lo:hi] with Bulyan's coordinate-wise
-// median-then-closest-average over the selected gradients in a.cIn: per
-// coordinate, take the median of the k selected values, then average the
-// cKPrime values closest to it. Both orderings are stable insertion sorts,
-// which coincide with the sort.Slice small-array path they replace for
-// k <= 12 (ties between distinct equidistant values may break differently
-// beyond that; the aggregate remains within the same honest hull).
-func (a *arena) bulyanKernel(share, lo, hi int) {
-	in := a.cIn
-	k := len(in)
-	col := a.shareCols[share][:k]
-	ord := a.shareOrds[share][:k]
-	kPrime := a.cKPrime
-	for c := lo; c < hi; c++ {
-		for i, v := range in {
-			col[i] = v[c]
-		}
-		argsortStable(ord, col)
-		var med float64
-		if k%2 == 1 {
-			med = col[ord[k/2]]
-		} else {
-			med = 0.5 * (col[ord[k/2-1]] + col[ord[k/2]])
-		}
-		// Stable re-sort of the value-ordered indices by distance to the
-		// median.
-		for i := 1; i < k; i++ {
-			for j := i; j > 0 && math.Abs(col[ord[j]]-med) < math.Abs(col[ord[j-1]]-med); j-- {
-				ord[j], ord[j-1] = ord[j-1], ord[j]
-			}
-		}
-		var s float64
-		for _, idx := range ord[:kPrime] {
-			s += col[idx]
-		}
-		a.cOut[c] = s / float64(kPrime)
+// runCoordinate computes spec over the d coordinates of inputs into dst,
+// sharded over the pool in contiguous coordinate ranges.
+func (a *arena) runCoordinate(spec coordSpec, dst tensor.Vector, inputs []tensor.Vector) {
+	a.cIn = append(a.cIn[:0], inputs...)
+	a.cOut = dst
+	a.cSpec = spec
+	if len(inputs) <= tileMaxN {
+		a.ensureTiles()
 	}
+	workers := kernelWorkers(len(dst)*4*len(inputs), len(a.shareCols))
+	parallelFor(len(dst), workers, &a.wg, a.coordFn)
+	a.cIn = clearVectors(a.cIn)
+	a.cOut = nil
 }
 
-// phocasKernel fills a.cOut[lo:hi] with Phocas' two-step coordinate rule:
-// the cTrim-trimmed mean of the coordinate, then the average of the cKeep
-// values closest to it. Orderings are stable insertion sorts (see
-// bulyanKernel for the tie-break note).
-func (a *arena) phocasKernel(share, lo, hi int) {
-	in := a.cIn
+// coordKernel fills a.cOut[lo:hi] with a.cSpec of the matching coordinates of
+// a.cIn. NaN inputs are read as +Inf on both paths.
+func (a *arena) coordKernel(share, lo, hi int) {
+	in, spec := a.cIn, a.cSpec
 	n := len(in)
 	col := a.shareCols[share][:n]
-	ord := a.shareOrds[share][:n]
-	trim, keep := a.cTrim, a.cKeep
-	trimKeep := float64(n - 2*trim)
-	for c := lo; c < hi; c++ {
-		for i, v := range in {
-			col[i] = v[c]
-		}
-		argsortStable(ord, col)
-		var tm float64
-		for _, idx := range ord[trim : n-trim] {
-			tm += col[idx]
-		}
-		tm /= trimKeep
-		for i := 1; i < n; i++ {
-			for j := i; j > 0 && math.Abs(col[ord[j]]-tm) < math.Abs(col[ord[j-1]]-tm); j-- {
-				ord[j], ord[j-1] = ord[j-1], ord[j]
+	if n > tileMaxN {
+		for c := lo; c < hi; c++ {
+			for i, v := range in {
+				col[i] = v[c]
 			}
+			sanitize(col)
+			a.cOut[c] = spec.ofColumn(col)
 		}
-		var s float64
-		for _, idx := range ord[:keep] {
-			s += col[idx]
+		return
+	}
+	sorting, median := networks(n)
+	for w := tileWidth(n); lo < hi; lo += w {
+		if w > hi-lo {
+			w = hi - lo
 		}
-		a.cOut[c] = s / float64(keep)
+		t := a.shareTiles[share][:n*w]
+		for r, v := range in {
+			copy(t[r*w:][:w], v[lo:])
+		}
+		sanitize(t)
+		out := a.cOut[lo:][:w]
+		net := sorting
+		if spec.median && spec.keep == 0 {
+			net = median // only the middle rows are read
+		}
+		runNetwork(t, w, net)
+		if spec.median {
+			medianRows(out, t, n, w)
+		} else {
+			trimmedRows(out, t, n, w, spec.trim)
+		}
+		if spec.keep == 0 {
+			continue
+		}
+		for c := range out {
+			for r := range col {
+				col[r] = t[r*w+c]
+			}
+			out[c] = closestMean(col, out[c], spec.keep)
+		}
 	}
 }
 
-// runCoordinate dispatches one of the prebuilt coordinate kernels over d
-// coordinates with the per-call parameters already stored in the arena.
-func (a *arena) runCoordinate(fn func(share, lo, hi int), d, perCoordWork int) {
-	workers := kernelWorkers(d*perCoordWork, len(a.shareCols))
-	parallelFor(d, workers, &a.wg, fn)
-	for i := range a.cIn {
-		a.cIn[i] = nil
+// ofColumn is the per-column form of the kernel, the path for n > tileMaxN:
+// introselect for a bare median, a sort of the column for the rest — a sorted
+// column being a sorted tile one coordinate wide. col is mutated.
+func (s coordSpec) ofColumn(col []float64) float64 {
+	if s.median && s.keep == 0 {
+		return medianOfColumn(col)
 	}
-	a.cIn = a.cIn[:0]
-	a.cOut = nil
+	sort.Float64s(col)
+	var center [1]float64
+	if s.median {
+		medianRows(center[:], col, len(col), 1)
+	} else {
+		trimmedRows(center[:], col, len(col), 1, s.trim)
+	}
+	if s.keep == 0 {
+		return center[0]
+	}
+	return closestMean(col, center[0], s.keep)
 }

@@ -2,9 +2,9 @@ package gar
 
 // Shared order-statistic selection primitives. Every rule that needs an order
 // statistic or a smallest-k sum goes through these instead of fully sorting:
-// introselect is O(n) expected with a hard O(n log n) fallback, and the
-// branch-minimal small cases are the Go analogue of the paper's SIMT
-// selection-instruction trick (Section 4.3).
+// introselect is O(n) expected with a hard O(n log n) fallback. (The
+// branch-free selection networks of the coordinate-wise rules are in
+// tile.go.)
 
 // quickselect returns the k-th smallest element of xs (0-indexed), mutating
 // xs. It uses median-of-three pivoting with a fallback to a full sort on
@@ -113,21 +113,4 @@ func argsortStable(idx []int, keys []float64) {
 			idx[j], idx[j-1] = idx[j-1], idx[j]
 		}
 	}
-}
-
-// median3 selects the middle of three values via a 3-element sorting network
-// expressed with min/max only — no data-dependent branch is taken, so the
-// same construction maps to SIMT lanes.
-func median3(a, b, c float64) float64 {
-	lo, hi := minmax(a, b)
-	lo2, _ := minmax(hi, c)
-	_, med := minmax(lo, lo2)
-	return med
-}
-
-func minmax(a, b float64) (lo, hi float64) {
-	if a < b {
-		return a, b
-	}
-	return b, a
 }

@@ -2,7 +2,6 @@ package gar
 
 import (
 	"fmt"
-	"sort"
 
 	"garfield/internal/tensor"
 )
@@ -51,18 +50,6 @@ func (t *TrimmedMean) AggregateInto(dst tensor.Vector, inputs []tensor.Vector) (
 	t.s.mu.Lock()
 	defer t.s.mu.Unlock()
 	dst = tensor.Resize(dst, d)
-	col := t.s.shareCols[0][:t.n]
-	keep := float64(t.n - 2*t.f)
-	for c := 0; c < d; c++ {
-		for i, v := range inputs {
-			col[i] = v[c]
-		}
-		sort.Float64s(col)
-		var s float64
-		for _, x := range col[t.f : t.n-t.f] {
-			s += x
-		}
-		dst[c] = s / keep
-	}
+	t.s.runCoordinate(coordSpec{trim: t.f}, dst, inputs)
 	return dst, nil
 }
