@@ -8,11 +8,18 @@ import (
 
 // BufDiscipline enforces the pooled-buffer ownership protocol module-wide:
 // a buffer acquired from a pool (compress.GetBuf, the rpc wire-buffer pool's
-// getBuf, or a raw (*sync.Pool).Get) must, within the acquiring function,
-// either be released back (PutBuf/putBuf/(*sync.Pool).Put — directly or via
-// defer) on every path, or visibly transfer ownership (returned, stored into
-// a struct/map/channel, passed to another function, captured by a closure).
-// After a release the buffer must never be referenced again.
+// getBuf, the vector pool's tensor.GetVec, or a raw (*sync.Pool).Get) must,
+// within the acquiring function, either be released back (PutBuf/putBuf/
+// PutVec/(*sync.Pool).Put — directly or via defer) on every path, or visibly
+// transfer ownership (returned, stored into a struct/map/channel, passed to
+// another function, captured by a closure). After a release the buffer must
+// never be referenced again.
+//
+// One transfer is checked rather than assumed: a reply literal (a struct
+// with Vec and FreeVec fields, the rpc.Response shape) takes ownership of a
+// vector placed in Vec only when it also sets FreeVec — that mark is what
+// makes the dispatcher release it. Without the mark the vector is still the
+// function's to release, and the return is reported as a leak.
 //
 // The analysis is intraprocedural and flow-sensitive over structured control
 // flow: an early `return err` between acquisition and release is reported as
@@ -330,16 +337,22 @@ func isAcquireFunc(f *types.Func) bool {
 	if f.FullName() == "(*sync.Pool).Get" {
 		return true
 	}
-	name := f.Name()
-	return (name == "GetBuf" || name == "getBuf") && f.Type().(*types.Signature).Recv() == nil
+	switch f.Name() {
+	case "GetBuf", "getBuf", "GetVec":
+		return f.Type().(*types.Signature).Recv() == nil
+	}
+	return false
 }
 
 func isReleaseFunc(f *types.Func) bool {
 	if f.FullName() == "(*sync.Pool).Put" {
 		return true
 	}
-	name := f.Name()
-	return (name == "PutBuf" || name == "putBuf") && f.Type().(*types.Signature).Recv() == nil
+	switch f.Name() {
+	case "PutBuf", "putBuf", "PutVec":
+		return f.Type().(*types.Signature).Recv() == nil
+	}
+	return false
 }
 
 // isRelease reports whether call releases obj: a release function with the
@@ -453,7 +466,9 @@ func (bd *bufCheck) identEscapes(id *ast.Ident, obj types.Object) bool {
 			}
 			return false
 		case *ast.CompositeLit:
-			return true // stored into a value that outlives the expression
+			// Stored into a value that outlives the expression — except a
+			// reply's Vec without the FreeVec mark, which nobody will release.
+			return !bd.unmarkedReplyVec(p, cur)
 		case *ast.ReturnStmt:
 			return true
 		case *ast.SendStmt:
@@ -485,6 +500,42 @@ func (bd *bufCheck) identEscapes(id *ast.Ident, obj types.Object) bool {
 			return true
 		}
 	}
+}
+
+// unmarkedReplyVec reports whether elt is the Vec field of a keyed struct
+// literal whose type has a FreeVec field and which does not set it (or sets
+// it to the literal false): the rpc.Response shape, where Vec changes hands
+// only under that mark.
+func (bd *bufCheck) unmarkedReplyVec(lit *ast.CompositeLit, elt ast.Node) bool {
+	kv, ok := elt.(*ast.KeyValueExpr)
+	if !ok {
+		return false
+	}
+	if key, ok := kv.Key.(*ast.Ident); !ok || key.Name != "Vec" {
+		return false
+	}
+	for _, e := range lit.Elts {
+		if other, ok := e.(*ast.KeyValueExpr); ok {
+			if key, ok := other.Key.(*ast.Ident); ok && key.Name == "FreeVec" {
+				v, isIdent := other.Value.(*ast.Ident)
+				return isIdent && v.Name == "false"
+			}
+		}
+	}
+	t := bd.pass.TypesInfo.TypeOf(lit)
+	if t == nil {
+		return false
+	}
+	st, ok := t.Underlying().(*types.Struct)
+	if !ok {
+		return false
+	}
+	for i := 0; i < st.NumFields(); i++ {
+		if st.Field(i).Name() == "FreeVec" {
+			return true
+		}
+	}
+	return false
 }
 
 // nodeOrNil lifts a possibly-nil concrete AST node into a comparable ast.Node.

@@ -18,6 +18,12 @@ type Attack interface {
 	// ok is false the node omits its reply entirely (a drop fault).
 	// honestPeers carries the gradients of the correct nodes for
 	// collusion-style attacks; nil for oblivious attacks.
+	//
+	// Apply owns honest for the duration of the call and the caller owns the
+	// result: the built-in attacks write their output over honest and return
+	// it, so a reply costs no second d-sized vector. The caller may recycle
+	// both vectors afterwards (tensor.PutVec), so an attack must keep no
+	// reference to either; honestPeers is read-only.
 	Apply(honest tensor.Vector, honestPeers []tensor.Vector) (v tensor.Vector, ok bool)
 }
 
@@ -105,7 +111,8 @@ func (r *Random) Name() string { return NameRandom }
 func (r *Random) Apply(honest tensor.Vector, _ []tensor.Vector) (tensor.Vector, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.rng.NormalVector(len(honest), 0, r.scale), true
+	r.rng.FillNormal(honest, 0, r.scale)
+	return honest, true
 }
 
 // Reversed multiplies the honest payload by a large negative factor
@@ -125,7 +132,8 @@ func (Reversed) Name() string { return NameReversed }
 
 // Apply implements Attack.
 func (a Reversed) Apply(honest tensor.Vector, _ []tensor.Vector) (tensor.Vector, bool) {
-	return honest.Scale(a.Factor), true
+	honest.ScaleInPlace(a.Factor)
+	return honest, true
 }
 
 // Drop omits the reply entirely, modelling message omission / mute nodes.
@@ -157,17 +165,28 @@ func (LittleIsEnough) Name() string { return NameLittleIsEnough }
 
 // Apply implements Attack.
 func (a LittleIsEnough) Apply(honest tensor.Vector, honestPeers []tensor.Vector) (tensor.Vector, bool) {
-	mean, std, err := meanStd(honestPeers)
-	if err != nil {
+	mean, ok := peerMean(honest, honestPeers)
+	if !ok {
 		// Without visibility into peers, degrade to reversing the local
 		// gradient (still adversarial, never crash the pipeline).
-		return honest.Scale(-1), true
+		honest.ScaleInPlace(-1)
+		return honest, true
 	}
-	out := mean.Clone()
-	for i := range out {
-		out[i] -= a.Z * std[i]
+	// Coordinate-wise variance of the peers in a borrowed scratch vector.
+	sq := tensor.GetVec(len(mean))
+	clear(sq)
+	for _, v := range honestPeers {
+		for i := range v {
+			d := v[i] - mean[i]
+			sq[i] += d * d
+		}
 	}
-	return out, true
+	inv := 1 / float64(len(honestPeers))
+	for i := range mean {
+		mean[i] -= a.Z * math.Sqrt(sq[i]*inv)
+	}
+	tensor.PutVec(sq)
+	return mean, true
 }
 
 // FallOfEmpires (Xie et al. 2019) sends -epsilon times the honest mean:
@@ -186,11 +205,12 @@ func (FallOfEmpires) Name() string { return NameFallOfEmpires }
 
 // Apply implements Attack.
 func (a FallOfEmpires) Apply(honest tensor.Vector, honestPeers []tensor.Vector) (tensor.Vector, bool) {
-	mean, err := tensor.Mean(honestPeers)
-	if err != nil {
-		return honest.Scale(-a.Epsilon), true
+	mean, ok := peerMean(honest, honestPeers)
+	if !ok {
+		mean = honest
 	}
-	return mean.Scale(-a.Epsilon), true
+	mean.ScaleInPlace(-a.Epsilon)
+	return mean, true
 }
 
 // Stale always replays the first payload it ever computed — the staleness
@@ -212,27 +232,20 @@ func (s *Stale) Apply(honest tensor.Vector, _ []tensor.Vector) (tensor.Vector, b
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.frozen == nil {
-		s.frozen = honest.Clone()
+		s.frozen = honest.Clone() // once per attack, not per reply
 	}
-	return s.frozen.Clone(), true
+	out := tensor.Resize(honest, len(s.frozen))
+	copy(out, s.frozen)
+	return out, true
 }
 
-// meanStd returns the coordinate-wise mean and standard deviation of vs.
-func meanStd(vs []tensor.Vector) (mean, std tensor.Vector, err error) {
-	mean, err = tensor.Mean(vs)
-	if err != nil {
-		return nil, nil, err
+// peerMean overwrites dst with the coordinate-wise mean of peers. It reports
+// false, leaving dst untouched, when there are no peers or they disagree on
+// the dimension.
+func peerMean(dst tensor.Vector, peers []tensor.Vector) (tensor.Vector, bool) {
+	if _, err := tensor.CheckSameDim(peers); err != nil {
+		return nil, false
 	}
-	std = tensor.New(len(mean))
-	for _, v := range vs {
-		for i := range v {
-			d := v[i] - mean[i]
-			std[i] += d * d
-		}
-	}
-	inv := 1 / float64(len(vs))
-	for i := range std {
-		std[i] = math.Sqrt(std[i] * inv)
-	}
-	return mean, std, nil
+	mean, err := tensor.MeanInto(dst, peers)
+	return mean, err == nil
 }

@@ -39,7 +39,7 @@ func TestNonePassesThrough(t *testing.T) {
 func TestRandomReplacesPayload(t *testing.T) {
 	a := NewRandom(tensor.NewRNG(7), 1.0)
 	v := tensor.Filled(100, 5)
-	out, ok := a.Apply(v, nil)
+	out, ok := a.Apply(v.Clone(), nil) // the output is written over the input
 	if !ok {
 		t.Fatal("Random dropped")
 	}
@@ -155,15 +155,18 @@ func TestStaleReplaysFirstPayload(t *testing.T) {
 	}
 }
 
+// TestMeanStd pins LittleIsEnough's in-place statistics on a case with exact
+// arithmetic: peers {0} and {2} have mean 1 and (population) deviation 1, so
+// the reply is 1 - z.
 func TestMeanStd(t *testing.T) {
-	mean, std, err := meanStd([]tensor.Vector{{0}, {2}})
-	if err != nil {
-		t.Fatal(err)
+	peers := []tensor.Vector{{0}, {2}}
+	for _, z := range []float64{0, 1, 2.5} {
+		out, ok := LittleIsEnough{Z: z}.Apply(tensor.Vector{9}, peers)
+		if !ok || len(out) != 1 || out[0] != 1-z {
+			t.Fatalf("z=%v: LIE = %v, %v; want [%v]", z, out, ok, 1-z)
+		}
 	}
-	if mean[0] != 1 || std[0] != 1 {
-		t.Fatalf("meanStd = %v, %v", mean, std)
-	}
-	if _, _, err := meanStd(nil); err == nil {
-		t.Fatal("meanStd(nil) should error")
+	if peers[0][0] != 0 || peers[1][0] != 2 {
+		t.Fatalf("LIE wrote into its peers: %v", peers)
 	}
 }

@@ -175,19 +175,26 @@ func FP64EncodedSize(d int) int { return 4 + 8*d }
 // bufPool recycles compressed-payload buffers between the serve-side
 // compressors and the RPC serving loop, so the steady-state pull loop
 // allocates no per-reply payload slices (the Section 4.4 memory-management
-// discipline, extended to the compression subsystem).
-var bufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 4096)
-		return &b
-	},
-}
+// discipline, extended to the compression subsystem). It holds boxed buffers
+// ready to borrow; bufBoxes holds the emptied *[]byte boxes, so returning a
+// buffer reuses a header instead of allocating one.
+var (
+	bufPool = sync.Pool{
+		New: func() any {
+			b := make([]byte, 0, 4096)
+			return &b
+		},
+	}
+	bufBoxes = sync.Pool{New: func() any { return new([]byte) }}
+)
 
 // GetBuf borrows a payload buffer of length 0 and capacity >= n from the
 // pool. Release it with PutBuf once the payload has been serialized.
 func GetBuf(n int) []byte {
 	p := bufPool.Get().(*[]byte)
 	b := *p
+	*p = nil
+	bufBoxes.Put(p)
 	if cap(b) < n {
 		b = make([]byte, 0, n)
 	}
@@ -199,8 +206,9 @@ func PutBuf(b []byte) {
 	if cap(b) == 0 {
 		return
 	}
-	b = b[:0]
-	bufPool.Put(&b)
+	p := bufBoxes.Get().(*[]byte)
+	*p = b[:0]
+	bufPool.Put(p)
 }
 
 // Compressor is the serve-side state of one node: its configured codec plus,

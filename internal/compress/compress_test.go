@@ -9,6 +9,7 @@ import (
 
 	"garfield/internal/gar"
 	"garfield/internal/tensor"
+	"garfield/internal/testutil"
 )
 
 func testVector(d int, seed uint64) tensor.Vector {
@@ -301,7 +302,7 @@ func TestSelectTopKMatchesSortReference(t *testing.T) {
 // encoding — the property the codec benchmarks report and the pull loop's
 // latency depends on.
 func TestCompressorSteadyStateZeroAlloc(t *testing.T) {
-	if raceEnabled {
+	if testutil.RaceBuild() {
 		t.Skip("race instrumentation disables the append-make extend-in-place optimization; alloc counts are a build-mode artifact")
 	}
 	const d = 4096
@@ -507,5 +508,23 @@ func TestDecodeReusesReceiver(t *testing.T) {
 	}
 	if &out[0] != backing {
 		t.Fatal("decode reallocated a receiver with sufficient capacity")
+	}
+}
+
+// TestBufPoolCycleDoesNotAllocate: returning a payload buffer reuses a
+// recycled *[]byte box, so a GetBuf/PutBuf cycle in steady state allocates
+// nothing (it used to box the slice header on every PutBuf).
+func TestBufPoolCycleDoesNotAllocate(t *testing.T) {
+	if testutil.RaceBuild() {
+		t.Skip("under the race detector sync.Pool drops a share of its Puts on purpose")
+	}
+	PutBuf(GetBuf(1 << 16))
+	allocs := testing.AllocsPerRun(100, func() {
+		b := GetBuf(1 << 16)
+		b = append(b, 1, 2, 3)
+		PutBuf(b)
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocations per GetBuf/PutBuf cycle, want 0", allocs)
 	}
 }

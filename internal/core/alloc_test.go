@@ -1,0 +1,93 @@
+package core_test
+
+import (
+	"runtime"
+	"testing"
+
+	"garfield/internal/attack"
+	"garfield/internal/core"
+	"garfield/internal/data"
+	"garfield/internal/gar"
+	"garfield/internal/model"
+	"garfield/internal/sgd"
+	"garfield/internal/sim"
+	"garfield/internal/testutil"
+)
+
+// allocConfig is a live (non-deterministic) SSMW deployment at d = 10,250
+// (1024 inputs x 10 classes + biases), n = 7, f = 1 under the reversed attack
+// — at the parent every round of it allocated n + f + 1 d-sized vectors: a
+// gradient per worker, the attack's output and the request's model snapshot.
+func allocConfig(t *testing.T) core.Config {
+	t.Helper()
+	train, test, err := data.Generate(data.SyntheticSpec{
+		Name: "alloc-lock", Dim: 1024, Classes: 10, Train: 280, Test: 40,
+		Separation: 1.5, Noise: 0.6, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	arch, err := model.NewLinearSoftmax(1024, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return core.Config{
+		Arch: arch, Train: train, Test: test,
+		BatchSize: 8,
+		NW:        7, FW: 1,
+		WorkerAttack: attack.Reversed{Factor: -100},
+		Rule:         gar.NameMedian,
+		LR:           sgd.Constant(0.1),
+		Seed:         3,
+	}
+}
+
+// TestSteadyStateRoundAllocatesNoVector is the allocation lock on the pooled
+// reply path: after five warm-up rounds, a round's TotalAlloc — averaged over
+// one RunSSMW call, so the call's own fixed cost (aggregator, accuracy
+// evaluation) is spread thin — stays below one d-sized vector. It runs once
+// over the live wiring, where rpc.Server's serving loop releases the reply
+// vectors, and once over the simulator's, where sim.Wiring does.
+func TestSteadyStateRoundAllocatesNoVector(t *testing.T) {
+	if testutil.RaceBuild() {
+		t.Skip("under the race detector sync.Pool drops a share of its Puts on purpose")
+	}
+	for _, tc := range []struct {
+		name   string
+		wiring func() core.Wiring
+	}{
+		{"live", func() core.Wiring { return nil }},
+		{"sim", func() core.Wiring { return sim.New(sim.Config{Seed: 3}) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := allocConfig(t)
+			var c *core.Cluster
+			var err error
+			if w := tc.wiring(); w != nil {
+				c, err = core.NewClusterWith(cfg, w)
+			} else {
+				c, err = core.NewCluster(cfg)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if _, err := c.RunSSMW(core.RunOptions{Iterations: 5}); err != nil {
+				t.Fatal(err)
+			}
+			const rounds = 40
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := c.RunSSMW(core.RunOptions{Iterations: rounds}); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			perRound := (after.TotalAlloc - before.TotalAlloc) / rounds
+			vector := uint64(8 * cfg.Arch.Dim())
+			t.Logf("%d B/round, one vector is %d B", perRound, vector)
+			if perRound >= vector {
+				t.Fatalf("a steady-state round allocates %d B, want less than one d-sized vector (%d B)", perRound, vector)
+			}
+		})
+	}
+}

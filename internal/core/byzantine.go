@@ -144,22 +144,24 @@ func (b *ByzantineServer) Handle(req rpc.Request) rpc.Response {
 		// already never advances, so the reply is served as-is.
 		return resp
 	}
+	// The wrapped server gives its reply vector away (FreeVec), so it is
+	// corrupted in place. The exception is a deterministic-mode cached reply,
+	// shared by every puller of the step: that one is corrupted in a borrowed
+	// copy.
+	if !resp.FreeVec {
+		resp.Vec, resp.FreeVec = borrowCopy(resp.Vec), true
+	}
 	v := resp.Vec
 	switch mode {
 	case ByzModeRandom:
-		rng := b.replyRNG(req, "")
-		resp.Vec = rng.NormalVector(len(v), 0, scale)
+		b.replyRNG(req, "").FillNormal(v, 0, scale)
 	case ByzModeReversed:
-		out := v.Clone()
-		out.ScaleInPlace(-100)
-		resp.Vec = out
+		v.ScaleInPlace(-100)
 	case ByzModeEquivocate:
 		rng := b.replyRNG(req, req.From)
-		out := v.Clone()
-		for i := range out {
-			out[i] += scale * rng.Norm()
+		for i := range v {
+			v[i] += scale * rng.Norm()
 		}
-		resp.Vec = out
 	}
 	return resp
 }

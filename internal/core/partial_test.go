@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"garfield/internal/gar"
 	"garfield/internal/rpc"
 	"garfield/internal/transport"
 )
@@ -34,12 +35,18 @@ func (w partWiring) Clock() Clock { return WallClock() }
 
 // buildPeerRing builds n clusters of the same decentralized deployment (all
 // honest, q = n so every contract pull needs every peer), each hosting — and
-// therefore driving — exactly one peer.
+// therefore driving — exactly one peer. Models are exchanged under the
+// average: the peers share no stage boundary, so a peer's model pull (between
+// its update and its write) may catch every other peer outside that window,
+// and the default median of one moved model and n - 1 unmoved ones discards
+// the step — a ring the scheduler never overlaps never learns. Under the
+// average a step counts whenever it is pulled.
 func buildPeerRing(t *testing.T, n int, nonIID bool, contractSteps int, timeout time.Duration) []*Cluster {
 	t.Helper()
 	cfg := baseConfig(t)
 	cfg.NW, cfg.FW, cfg.NPS, cfg.FPS = n, 0, n, 0
 	cfg.SyncQuorum, cfg.NonIID, cfg.ContractSteps, cfg.PullTimeout = true, nonIID, contractSteps, timeout
+	cfg.ModelRule = gar.NameAverage
 	net := transport.NewMem()
 	ring := make([]*Cluster, n)
 	for i := range ring {

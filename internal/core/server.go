@@ -64,6 +64,13 @@ type Server struct {
 	latestAggr  tensor.Vector
 	currentStep uint32
 
+	// reqVec is the model snapshot a gradient pull carries (the pull model
+	// folds model dissemination into the request), reused across rounds. One
+	// buffer suffices for the reason one arena does: a server issues pulls
+	// one at a time, and a pull's tasks have all finished reading the request
+	// when PullFirstQInto returns.
+	reqVec tensor.Vector
+
 	// Deterministic-mode reply cache for Byzantine servers: a stochastic
 	// attack draws once per (kind, step) and every puller of that step
 	// receives the same corrupted vector, mirroring the worker's
@@ -312,9 +319,13 @@ func (s *Server) gradientsReq(t, q int) pullReq {
 // — the group-local pull of the hierarchical sharded protocol, where a shard
 // owner collects full gradients from its group's members only.
 func (s *Server) gradientsFromReq(t int, workers []string, q int) pullReq {
+	s.reqVec = tensor.Resize(s.reqVec, s.arch.Dim())
+	s.mu.RLock()
+	copy(s.reqVec, s.params)
+	s.mu.RUnlock()
 	return pullReq{
 		what:  "get_gradients",
-		req:   rpc.Request{Kind: rpc.KindGetGradient, Step: uint32(t), Accept: s.accept, Vec: s.Params()},
+		req:   rpc.Request{Kind: rpc.KindGetGradient, Step: uint32(t), Accept: s.accept, Vec: s.reqVec},
 		peers: workers, q: q,
 	}
 }
@@ -448,49 +459,58 @@ func (s *Server) ComputeAccuracy(test *data.Dataset) (float64, error) {
 }
 
 // Handle implements rpc.Handler: serves model, aggregated-gradient and ping
-// requests. A Byzantine server corrupts the vectors it serves.
+// requests. A Byzantine server corrupts the vectors it serves. Every served
+// vector is a borrowed copy taken under the lock that guards its source — the
+// response encoder reads it after Handle returns, when the next update (or a
+// later round's SetShardPart) may already be overwriting the original — and
+// is given away with the reply (FreeVec).
 func (s *Server) Handle(req rpc.Request) rpc.Response {
+	var v tensor.Vector
 	switch req.Kind {
 	case rpc.KindGetModel:
-		return s.serveVector(req, s.Params())
+		s.mu.RLock()
+		v = borrowCopy(s.params)
+		s.mu.RUnlock()
 	case rpc.KindGetAggrGrad:
 		s.mu.RLock()
-		aggr := s.latestAggr
+		v = borrowCopy(s.latestAggr)
 		s.mu.RUnlock()
-		if aggr == nil {
-			return rpc.Response{}
-		}
-		return s.serveVector(req, aggr.Clone())
 	case rpc.KindGetShardPart:
 		s.partMu.RLock()
-		var part tensor.Vector
 		if e := s.parts[req.Shard]; e != nil && e.step == req.Step {
-			// Clone under the lock: the response encoder reads the vector
-			// after Handle returns, when a later round's SetShardPart could
-			// already be overwriting the slot.
-			part = e.vec.Clone()
+			v = borrowCopy(e.vec)
 		}
 		s.partMu.RUnlock()
-		if part == nil {
-			return rpc.Response{} // nothing owned for that (step, shard)
-		}
-		return s.serveVector(req, part)
 	case rpc.KindPing:
 		return rpc.Response{OK: true}
-	default:
-		return rpc.Response{}
 	}
+	if v == nil {
+		return rpc.Response{} // unknown kind, or nothing to serve yet
+	}
+	return s.serveVector(req, v)
 }
 
+// borrowCopy returns a copy of src in a vector borrowed from the pool, nil
+// for a nil src.
+func borrowCopy(src tensor.Vector) tensor.Vector {
+	if src == nil {
+		return nil
+	}
+	v := tensor.GetVec(len(src))
+	copy(v, src)
+	return v
+}
+
+// serveVector answers with the owned vector v, through the attack.
 func (s *Server) serveVector(req rpc.Request, v tensor.Vector) rpc.Response {
 	if _, honest := s.atk.(attack.None); s.det && !honest {
 		return s.serveVectorDeterministic(req, v)
 	}
-	out, ok := s.atk.Apply(v, nil)
+	out, ok := applyAttack(s.atk, v, nil)
 	if !ok {
 		return rpc.Response{}
 	}
-	return rpc.Response{OK: true, Vec: out}
+	return rpc.Response{OK: true, Vec: out, FreeVec: true}
 }
 
 // serveVectorDeterministic serves Byzantine replies in deterministic mode:
@@ -505,16 +525,18 @@ func (s *Server) serveVectorDeterministic(req rpc.Request, v tensor.Vector) rpc.
 	s.detMu.Lock()
 	defer s.detMu.Unlock()
 	if s.detHas && s.detKind == req.Kind && s.detStep == req.Step {
+		tensor.PutVec(v)
 		if !s.detOK {
 			return rpc.Response{}
 		}
 		return rpc.Response{OK: true, Vec: s.detVec}
 	}
 	s.detKind, s.detStep, s.detHas, s.detOK, s.detVec = req.Kind, req.Step, true, false, nil
-	out, ok := s.atk.Apply(v, nil)
+	out, ok := applyAttack(s.atk, v, nil)
 	if !ok {
 		return rpc.Response{} // omission, replayed for the step
 	}
+	// Shared by every puller of the step, so never given away (no FreeVec).
 	s.detOK, s.detVec = true, out
 	return rpc.Response{OK: true, Vec: out}
 }

@@ -183,7 +183,8 @@ func NewWorker(arch model.Model, shard *data.Dataset, batchSize int, seed uint64
 
 // ComputeGradient draws the next mini-batch and estimates the gradient at
 // params — the worker's "main job" in the paper's design. With momentum
-// enabled, the reply is the smoothed velocity v = mu*v + g.
+// enabled, the reply is the smoothed velocity v = mu*v + g. The caller owns
+// the result (model.Model.Gradient's borrowed vector).
 func (w *Worker) ComputeGradient(params tensor.Vector) (tensor.Vector, error) {
 	w.mu.Lock()
 	batch := w.sampler.Next(w.batchSize)
@@ -203,7 +204,35 @@ func (w *Worker) ComputeGradient(params tensor.Vector) (tensor.Vector, error) {
 	for i := range w.velocity {
 		w.velocity[i] = w.momentum*w.velocity[i] + g[i]
 	}
-	return w.velocity.Clone(), nil
+	copy(g, w.velocity)
+	return g, nil
+}
+
+// attacked computes the worker's reply vector at params: the gradient
+// estimate, through the attack. The sample of self-estimated peers the attack
+// observed goes back to the vector pool; the caller owns the result.
+func (w *Worker) attacked(params tensor.Vector) (tensor.Vector, bool) {
+	g, err := w.ComputeGradient(params)
+	if err != nil {
+		return nil, false
+	}
+	peers := w.estimatePeers(params)
+	out, ok := applyAttack(w.atk, g, peers)
+	for _, p := range peers {
+		tensor.PutVec(p)
+	}
+	return out, ok
+}
+
+// applyAttack runs atk over the owned vector v. The built-in attacks answer
+// in v itself; when one omits the reply or answers in another vector, v is
+// released here, so the caller is left owning exactly the result.
+func applyAttack(atk attack.Attack, v tensor.Vector, peers []tensor.Vector) (tensor.Vector, bool) {
+	out, ok := atk.Apply(v, peers)
+	if !ok || len(out) == 0 || len(v) == 0 || &out[0] != &v[0] {
+		tensor.PutVec(v)
+	}
+	return out, ok
 }
 
 // estimatePeers draws selfPeers extra gradients from the worker's own shard
@@ -254,13 +283,9 @@ func (w *Worker) Handle(req rpc.Request) rpc.Response {
 		if w.det {
 			return w.handleDeterministic(req)
 		}
-		g, err := w.ComputeGradient(req.Vec)
-		if err != nil {
-			return rpc.Response{}
-		}
-		out, ok := w.atk.Apply(g, w.estimatePeers(req.Vec))
+		out, ok := w.attacked(req.Vec)
 		if !ok {
-			return rpc.Response{} // omission fault
+			return rpc.Response{} // gradient error or omission fault
 		}
 		return w.reply(req, out)
 	case rpc.KindPing:
@@ -275,11 +300,14 @@ func (w *Worker) Handle(req rpc.Request) rpc.Response {
 // worker's codec exactly, fp64 passthrough otherwise (the mixed-fleet
 // fallback). A ranged request (sharded aggregation) receives only its
 // [Lo, Hi) slice — compressed per shard with a proportional top-k budget, or
-// sliced passthrough. The compressed payload is borrowed from the shared
-// buffer pool and handed back by the RPC serving loop after the frame is
-// written, so steady-state compression allocates no payload slices. For
-// top-k the call also advances the error-feedback residual — each pull is a
-// fresh gradient estimate in live mode, so each pull deposits its own
+// sliced passthrough. reply owns vec, a borrowed vector: on the passthrough
+// path it travels in the response and the dispatcher releases it once the
+// frame is written (FreeVec); on the compressed path it is spent the moment
+// the payload exists and goes back to the pool here, while the payload —
+// borrowed from the shared buffer pool — takes the same trip (FreePayload).
+// A steady-state reply therefore allocates neither a vector nor a payload.
+// For top-k the call also advances the error-feedback residual — each pull is
+// a fresh gradient estimate in live mode, so each pull deposits its own
 // un-sent remainder (a ranged pull deposits only its slice's).
 func (w *Worker) reply(req rpc.Request, vec tensor.Vector) rpc.Response {
 	lo, hi := 0, len(vec)
@@ -287,15 +315,17 @@ func (w *Worker) reply(req rpc.Request, vec tensor.Vector) rpc.Response {
 		lo, hi = int(req.Lo), int(req.Hi)
 	}
 	if w.comp == nil || req.Accept != w.comp.Encoding() {
-		return rpc.Response{OK: true, Vec: vec[lo:hi]}
+		if lo > 0 {
+			// The slice moves to the front so the release returns the whole
+			// backing array, not its tail.
+			copy(vec, vec[lo:hi])
+		}
+		return rpc.Response{OK: true, Vec: vec[:hi-lo], FreeVec: true}
 	}
 	buf := compress.GetBuf(w.comp.MaxEncodedSize(hi - lo))
-	return rpc.Response{
-		OK:          true,
-		Enc:         w.comp.Encoding(),
-		Payload:     w.comp.CompressRange(buf, vec, lo, hi),
-		FreePayload: true,
-	}
+	payload := w.comp.CompressRange(buf, vec, lo, hi)
+	tensor.PutVec(vec)
+	return rpc.Response{OK: true, Enc: w.comp.Encoding(), Payload: payload, FreePayload: true}
 }
 
 // handleDeterministic serves gradient pulls in deterministic mode: the
@@ -321,14 +351,12 @@ func (w *Worker) handleDeterministic(req rpc.Request) rpc.Response {
 	}
 	w.detStep, w.detHas, w.detOK = req.Step, true, false
 	w.detReply, w.detParams, w.detPayloads = nil, req.Vec.Clone(), nil
-	g, err := w.ComputeGradient(req.Vec)
-	if err != nil {
-		return rpc.Response{}
-	}
-	out, ok := w.atk.Apply(g, w.estimatePeers(req.Vec))
+	out, ok := w.attacked(req.Vec)
 	if !ok {
-		return rpc.Response{} // omission fault, replayed for the step
+		return rpc.Response{} // gradient error or omission, replayed for the step
 	}
+	// The cached reply is shared by every puller of the step, so it is never
+	// given away (no FreeVec): the collector takes it once the step is over.
 	w.detOK, w.detReply = true, out
 	return w.detResponse(req)
 }

@@ -587,3 +587,53 @@ func TestSumSmallestKMatchesSort(t *testing.T) {
 		}
 	}
 }
+
+// TestSelectionRulesSurviveNonFinite: a non-finite vector is the cheapest
+// input a Byzantine worker can author. With at most f inputs all-NaN, all
+// +Inf, all -Inf or a mix, at every position in the input order, the
+// distance-based rules still return a finite vector: a NaN entry of the
+// distance matrix reads as +Inf, so such an input ranks last in every score
+// and every subset that holds it has infinite diameter.
+func TestSelectionRulesSurviveNonFinite(t *testing.T) {
+	poison := map[string]func(i, c int) float64{
+		"nan":   func(i, c int) float64 { return math.NaN() },
+		"+inf":  func(i, c int) float64 { return math.Inf(1) },
+		"-inf":  func(i, c int) float64 { return math.Inf(-1) },
+		"mixed": func(i, c int) float64 { return []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[(i+c)%3] },
+	}
+	for _, sh := range []struct {
+		rule string
+		n, f int
+	}{
+		{NameKrum, 7, 2}, {NameKrum, 11, 2},
+		{NameMultiKrum, 7, 2}, {NameMultiKrum, 11, 2},
+		{NameMDA, 5, 2}, {NameMDA, 11, 2},
+		{NameBulyan, 11, 2}, {NameBulyan, 15, 3},
+	} {
+		r, err := New(sh.rule, sh.n, sh.f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for kind, value := range poison {
+			for _, byz := range []int{1, sh.f} {
+				for start := 0; start < sh.n; start++ {
+					in := genInputs(uint64(sh.n), sh.n, 40)
+					for j := 0; j < byz; j++ {
+						i := (start + j) % sh.n
+						for c := range in[i] {
+							in[i][c] = value(i, c)
+						}
+					}
+					out, err := r.Aggregate(in)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !out.IsFinite() {
+						t.Errorf("%s n=%d f=%d with %d %s inputs from index %d: output is not finite",
+							sh.rule, sh.n, sh.f, byz, kind, start)
+					}
+				}
+			}
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package gar
 
 import (
+	"math"
 	"sort"
 	"sync"
 
@@ -181,6 +182,13 @@ func (a *arena) computeDistances(vs []tensor.Vector, d int) {
 		}
 		if d2 < 0 {
 			d2 = 0 // Gram identity can go negative by rounding; distances cannot
+		}
+		if d2 != d2 {
+			// NaN (a NaN input, or Inf - Inf) compares false with everything
+			// and would derail every score and diameter it enters. A
+			// non-finite input is infinitely far from the rest — the rule the
+			// column-tile kernel uses — so the selection rules rank it last.
+			d2 = math.Inf(1)
 		}
 		a.dist[i*n+j] = d2
 		a.dist[j*n+i] = d2

@@ -243,9 +243,8 @@ func TestClosestMeanTieOrder(t *testing.T) {
 // TestCoordinateRulesSurviveNaN: NaN is an input an adversary authors. With
 // at most f inputs all-NaN, or a mix of NaN and both infinities, every rule
 // on the coordinate kernel still returns a finite vector, on the tile path
-// and on the per-column path. (Bulyan's Byzantine inputs sit at the tail,
-// where its selection phase is known to get past them; the selection rules'
-// own NaN gap is recorded in TESTING.md.)
+// and on the per-column path. (TestSelectionRulesSurviveNonFinite is the same
+// property for the distance-based rules.)
 func TestCoordinateRulesSurviveNaN(t *testing.T) {
 	poison := map[string]func(i, c int) float64{
 		"nan":   func(i, c int) float64 { return math.NaN() },

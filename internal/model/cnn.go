@@ -183,7 +183,8 @@ func (m *CNN) Gradient(params tensor.Vector, batch data.Batch) (tensor.Vector, e
 	if err := checkBatch(m.InputDim(), m.classes, batch); err != nil {
 		return nil, err
 	}
-	grad := tensor.New(m.Dim())
+	grad := tensor.GetVec(m.Dim())
+	clear(grad)
 	gConvW, gConvB, gDenseW, gDenseB := m.layout(grad)
 	_, _, denseW, _ := m.layout(params)
 

@@ -3,11 +3,11 @@ package model
 import (
 	"fmt"
 	"math"
-	"runtime/debug"
 	"testing"
 
 	"garfield/internal/data"
 	"garfield/internal/tensor"
+	"garfield/internal/testutil"
 )
 
 // The kernels' contract is bit-identity with the per-sample loops in
@@ -217,10 +217,12 @@ func TestKernelMatchesReferenceNonFinite(t *testing.T) {
 	}
 }
 
-// TestGradientAllocatesOnlyItsResult locks the pooled scratch: in steady
-// state the returned vector is Gradient's one allocation.
+// TestGradientAllocatesOnlyItsResult locks the pooled scratch and the
+// borrowed result: in steady state the returned vector is Gradient's one
+// allocation for a caller that keeps it, and a caller that hands it back
+// (tensor.PutVec) allocates nothing.
 func TestGradientAllocatesOnlyItsResult(t *testing.T) {
-	if raceBuild() {
+	if testutil.RaceBuild() {
 		t.Skip("under the race detector sync.Pool drops a share of its Puts on purpose")
 	}
 	for _, r := range []reference{mlpReference(t, 20, 16, 4), linearReference(t, 20, 4)} {
@@ -228,29 +230,23 @@ func TestGradientAllocatesOnlyItsResult(t *testing.T) {
 			rng := tensor.NewRNG(1)
 			params := r.m.InitParams(rng)
 			batch := randomBatch(rng, 9, 20, 4)
-			allocs := testing.AllocsPerRun(50, func() {
-				if _, err := r.m.Gradient(params, batch); err != nil {
-					t.Fatal(err)
+			for _, tc := range []struct {
+				release bool
+				want    float64
+			}{{false, 1}, {true, 0}} {
+				allocs := testing.AllocsPerRun(50, func() {
+					g, err := r.m.Gradient(params, batch)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if tc.release {
+						tensor.PutVec(g)
+					}
+				})
+				if allocs != tc.want {
+					t.Fatalf("release=%v: Gradient makes %v allocations per call, want %v", tc.release, allocs, tc.want)
 				}
-			})
-			if allocs != 1 {
-				t.Fatalf("Gradient makes %v allocations per call, want 1 (the result)", allocs)
 			}
 		})
 	}
-}
-
-// raceBuild reports whether the test binary was built with -race, from the
-// build settings the toolchain records (the package carries no build tags).
-func raceBuild() bool {
-	info, _ := debug.ReadBuildInfo()
-	if info == nil {
-		return false
-	}
-	for _, s := range info.Settings {
-		if s.Key == "-race" {
-			return s.Value == "true"
-		}
-	}
-	return false
 }

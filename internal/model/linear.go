@@ -77,7 +77,8 @@ func (m *LinearSoftmax) Gradient(params tensor.Vector, batch data.Batch) (tensor
 	}
 	sc := m.scratch.Get().(*scratch)
 	defer m.scratch.Put(sc)
-	grad := tensor.New(m.Dim())
+	grad := tensor.GetVec(m.Dim())
+	clear(grad)
 	gw, gb := grad[:m.classes*m.in], grad[m.classes*m.in:]
 	for lo := 0; lo < len(batch.Features); lo += block {
 		hi := min(lo+block, len(batch.Features))

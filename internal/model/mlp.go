@@ -99,7 +99,8 @@ func (m *MLP) Gradient(params tensor.Vector, batch data.Batch) (tensor.Vector, e
 	}
 	sc := m.scratch.Get().(*scratch)
 	defer m.scratch.Put(sc)
-	grad := tensor.New(m.Dim())
+	grad := tensor.GetVec(m.Dim())
+	clear(grad)
 	gw1, gb1, gw2, gb2 := m.layout(grad)
 	_, _, w2, _ := m.layout(params)
 	for lo := 0; lo < len(batch.Features); lo += block {

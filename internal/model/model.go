@@ -33,7 +33,9 @@ type Model interface {
 	// vector.
 	InitParams(rng *tensor.RNG) tensor.Vector
 	// Gradient computes the average cross-entropy gradient of the batch at
-	// params.
+	// params. The caller owns the result, which the built-in models draw
+	// from the vector pool: a caller done with it may hand it back with
+	// tensor.PutVec, and one that never does leaves it to the collector.
 	Gradient(params tensor.Vector, batch data.Batch) (tensor.Vector, error)
 	// Loss computes the average cross-entropy loss of the batch at params.
 	Loss(params tensor.Vector, batch data.Batch) (float64, error)

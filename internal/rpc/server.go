@@ -20,6 +20,19 @@ type Handler interface {
 	// replicated communication. req.Vec is only valid for the duration of
 	// the call — the server reuses its backing array for the next request
 	// on the connection — so implementations must not retain it.
+	//
+	// Ownership of the reply. Whoever dispatched the request (the serving
+	// loop here, sim.Wiring under the simulator) reads Response.Vec and
+	// Response.Payload after Handle returns, until the reply has been
+	// written or copied out. Without FreeVec the handler keeps owning Vec:
+	// it must stay unmodified for that long, which in practice means a
+	// vector nobody writes again (a per-step cache replaced wholesale) or a
+	// fresh one left to the collector. With FreeVec the handler gives Vec
+	// away: it was borrowed from tensor.GetVec, nothing else references it,
+	// and the dispatcher releases it with tensor.PutVec after its last read.
+	// FreePayload is the same transfer for Payload (compress.GetBuf /
+	// PutBuf). A handler that borrowed a vector and then declines the
+	// request releases it itself.
 	Handle(req Request) Response
 }
 
@@ -159,10 +172,13 @@ func (s *Server) serveConn(conn net.Conn) {
 		// an "anonymous decline" for requests the server could not read.
 		resp.EchoKind, resp.EchoStep = req.Kind, req.Step
 		err = writeResponseFrame(conn, resp)
-		if resp.FreePayload && resp.Payload != nil {
-			// The handler borrowed its compressed payload from the shared
-			// pool; the frame has been copied out, so hand it back.
+		// The frame has been copied out: hand back what the handler borrowed
+		// for it (see Handler).
+		if resp.FreePayload {
 			compress.PutBuf(resp.Payload)
+		}
+		if resp.FreeVec {
+			tensor.PutVec(resp.Vec)
 		}
 		if err != nil {
 			return

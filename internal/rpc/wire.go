@@ -130,6 +130,11 @@ type Response struct {
 	// compress.GetBuf and may be recycled once the frame is written (a
 	// handler serving a long-lived cached payload leaves it false).
 	FreePayload bool
+	// FreeVec tells the serving loop that Vec was borrowed from
+	// tensor.GetVec and is the handler's to give away: the loop releases it
+	// once the frame is written. A handler serving a vector other requests
+	// may still read — a deterministic-mode per-step cache — leaves it false.
+	FreeVec bool
 }
 
 const (

@@ -223,8 +223,9 @@ func TestAttackSeedSplit(t *testing.T) {
 		{"worker", cfg.WorkerAttack, refWorker},
 		{"server", cfg.ServerAttack, refServer},
 	} {
-		gotV, _ := pair.got.Apply(honest, nil)
-		refV, _ := pair.ref.Apply(honest, nil)
+		// Random fills the vector it is handed: each side gets its own.
+		gotV, _ := pair.got.Apply(honest.Clone(), nil)
+		refV, _ := pair.ref.Apply(honest.Clone(), nil)
 		if !reflect.DeepEqual(gotV, refV) {
 			t.Errorf("%s attack stream diverges from the split construction", pair.name)
 		}

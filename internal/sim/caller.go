@@ -163,7 +163,7 @@ func (w *Wiring) dispatchLockedInto(addr string, req rpc.Request, dst *tensor.Ve
 			vec = *dst
 		}
 		err := compress.DecodeBounded(&vec, resp.Enc, resp.Payload, bound)
-		if resp.FreePayload && resp.Payload != nil {
+		if resp.FreePayload {
 			compress.PutBuf(resp.Payload)
 		}
 		if err != nil {
@@ -182,11 +182,18 @@ func (w *Wiring) dispatchLockedInto(addr string, req rpc.Request, dst *tensor.Ve
 	// handlers serve one shared cached vector to every puller, and the GARs
 	// and staleness damping mutate pulled vectors in place. With a fused
 	// destination the copy lands in the slot's backing array instead of a
-	// fresh clone.
+	// fresh clone. Once copied, a vector the handler gave away (FreeVec) goes
+	// back to the pool, as the serving loop does after writing the frame.
+	var out tensor.Vector
 	if dst != nil {
 		*dst = tensor.Resize(*dst, len(resp.Vec))
-		copy(*dst, resp.Vec)
-		return *dst, nil
+		out = *dst
+	} else {
+		out = tensor.New(len(resp.Vec))
 	}
-	return resp.Vec.Clone(), nil
+	copy(out, resp.Vec)
+	if resp.FreeVec {
+		tensor.PutVec(resp.Vec)
+	}
+	return out, nil
 }

@@ -70,10 +70,16 @@ func (r *RNG) Perm(n int) []int {
 // coordinates.
 func (r *RNG) NormalVector(d int, mu, sigma float64) Vector {
 	out := make(Vector, d)
-	for i := range out {
-		out[i] = mu + sigma*r.Norm()
-	}
+	r.FillNormal(out, mu, sigma)
 	return out
+}
+
+// FillNormal overwrites v with i.i.d. N(mu, sigma^2) coordinates — the same
+// draws, in the same order, as NormalVector(len(v), mu, sigma).
+func (r *RNG) FillNormal(v Vector, mu, sigma float64) {
+	for i := range v {
+		v[i] = mu + sigma*r.Norm()
+	}
 }
 
 // UniformVector returns a vector of dimension d with i.i.d. U[lo, hi)
