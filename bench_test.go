@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"testing"
+	"time"
 
 	"garfield"
 	"garfield/internal/compress"
@@ -225,46 +226,10 @@ func BenchmarkAblationBulyanInner(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationRPCClient compares the dial-per-call client (the default,
-// whose per-call independence makes straggler cancellation safe) against the
-// persistent-connection pooled client.
-func BenchmarkAblationRPCClient(b *testing.B) {
-	net := transport.NewMem()
-	rng := tensor.NewRNG(3)
-	vec := rng.NormalVector(10_000, 0, 1)
-	srv, err := rpc.Serve(net, "peer", rpc.HandlerFunc(func(rpc.Request) rpc.Response {
-		return rpc.Response{OK: true, Vec: vec}
-	}))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	req := rpc.Request{Kind: rpc.KindGetModel}
-
-	b.Run("dial-per-call", func(b *testing.B) {
-		c := rpc.NewClient(net)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := c.Call(context.Background(), "peer", req); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("pooled", func(b *testing.B) {
-		c := rpc.NewPooledClient(net)
-		defer c.Close()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := c.Call(context.Background(), "peer", req); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkRPCPullFirstQ measures the first-q-of-n pull primitive that
-// implements get_gradients(t, q), over the in-memory transport with the
-// protocol-default pooled client.
+// implements get_gradients(t, q), over the in-memory transport, under a
+// deadline context as round.run issues it (a deadline-less one would add the
+// default-deadline timer, which production never arms).
 func BenchmarkRPCPullFirstQ(b *testing.B) {
 	net := transport.NewMem()
 	const peers = 9
@@ -285,10 +250,12 @@ func BenchmarkRPCPullFirstQ(b *testing.B) {
 	client := rpc.NewPooledClient(net)
 	defer client.Close()
 	req := rpc.Request{Kind: rpc.KindGetModel}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := client.PullFirstQ(context.Background(), addrs, peers-2, req); err != nil {
+		if _, err := client.PullFirstQ(ctx, addrs, peers-2, req); err != nil {
 			b.Fatal(err)
 		}
 	}

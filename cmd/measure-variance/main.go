@@ -96,10 +96,12 @@ func run(args []string, out io.Writer) error {
 	satisfied := make(map[string]int, len(rules))
 	fmt.Fprintf(out, "step  %-8s %-8s %-8s   (ratio = ||grad L|| / (Delta * stddev); condition holds when > 1)\n",
 		rules[0], rules[1], rules[2])
+	var drawn data.Batch // refilled per draw: Gradient reads it only during the call
 	for step := 0; step < *steps; step++ {
 		grads := make([]tensor.Vector, *n)
 		for i := 0; i < *n; i++ {
-			g, err := arch.Gradient(params, samplers[i].Next(*batch))
+			drawn = samplers[i].Next(drawn, *batch)
+			g, err := arch.Gradient(params, drawn)
 			if err != nil {
 				return err
 			}

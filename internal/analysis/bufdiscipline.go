@@ -7,10 +7,10 @@ import (
 )
 
 // BufDiscipline enforces the pooled-buffer ownership protocol module-wide:
-// a buffer acquired from a pool (compress.GetBuf, the rpc wire-buffer pool's
-// getBuf, the vector pool's tensor.GetVec, or a raw (*sync.Pool).Get) must,
-// within the acquiring function, either be released back (PutBuf/putBuf/
-// PutVec/(*sync.Pool).Put — directly or via defer) on every path, or visibly
+// a buffer acquired from a pool (compress.GetBuf, the vector pool's
+// tensor.GetVec, or a raw (*sync.Pool).Get) must, within the acquiring
+// function, either be released back (PutBuf/PutVec/(*sync.Pool).Put —
+// directly or via defer) on every path, or visibly
 // transfer ownership (returned, stored into a struct/map/channel, passed to
 // another function, captured by a closure). After a release the buffer must
 // never be referenced again.
@@ -154,7 +154,7 @@ func (bd *bufCheck) track(stmts []ast.Stmt, obj types.Object, acq token.Pos, st 
 func (bd *bufCheck) trackStmt(s ast.Stmt, obj types.Object, acq token.Pos, st bufStatus) bufStatus {
 	// Use-after-release: on the straight-line released path, any further
 	// mention of the buffer — including a second release — is a bug. A plain
-	// reassignment (`buf = getBuf(n)` after the release) rebinds the name to
+	// reassignment (`buf = GetBuf(n)` after the release) rebinds the name to
 	// a fresh buffer and is exempt; scanBlock tracks it as its own
 	// acquisition.
 	if st == stReleased && bd.mentions(s, obj) && !bd.reassignsOnly(s, obj) {
@@ -300,8 +300,7 @@ func joinStatus(a, b bufStatus) bufStatus {
 	return stMaybe
 }
 
-// acquisition recognizes `v := GetBuf(n)`, `v := getBuf(n)` and
-// `v := pool.Get().(*T)` forms and returns the defined/assigned variable.
+// acquisition recognizes the `v := GetBuf(n)` and `v := pool.Get().(*T)` forms and returns the defined/assigned variable.
 func (bd *bufCheck) acquisition(s ast.Stmt) (types.Object, *ast.Ident) {
 	as, ok := s.(*ast.AssignStmt)
 	if !ok || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
@@ -338,7 +337,7 @@ func isAcquireFunc(f *types.Func) bool {
 		return true
 	}
 	switch f.Name() {
-	case "GetBuf", "getBuf", "GetVec":
+	case "GetBuf", "GetVec":
 		return f.Type().(*types.Signature).Recv() == nil
 	}
 	return false
@@ -349,7 +348,7 @@ func isReleaseFunc(f *types.Func) bool {
 		return true
 	}
 	switch f.Name() {
-	case "PutBuf", "putBuf", "PutVec":
+	case "PutBuf", "PutVec":
 		return f.Type().(*types.Signature).Recv() == nil
 	}
 	return false

@@ -18,8 +18,7 @@
 //     is TestAttackSeedDomainSeparated.
 //
 //   - bufdiscipline: a flow-sensitive check that every pooled-buffer
-//     acquisition (compress.GetBuf, tensor.GetVec, the rpc wire-buffer pool,
-//     raw sync.Pool) is released on every non-escaping path and never
+//     acquisition (compress.GetBuf, tensor.GetVec, raw sync.Pool) is released on every non-escaping path and never
 //     referenced after release, and that a borrowed vector leaves in a reply
 //     only under the FreeVec mark. The runtime counterpart is the zero-alloc
 //     steady-state bench suite — which only notices a leak as a slow drift in

@@ -91,3 +91,48 @@ func TestSteadyStateRoundAllocatesNoVector(t *testing.T) {
 		})
 	}
 }
+
+// TestRoundFixedCostIndependentOfWorkers is the object-count lock on the whole
+// pull path: a steady-state live SSMW round — request frame, fan-out, serving
+// loops, batch draws, gradients, replies, aggregation, update — leaves at most
+// 12 objects behind at nw = 17, and within one of what it leaves at nw = 5.
+// The count is the slope between a 20-round and a 60-round RunSSMW call, so
+// the call's own fixed cost cancels. It is taken on one P, as
+// testing.AllocsPerRun takes its counts: with several, what sync.Pool (the
+// vector pool) allocates for its per-P queues depends on which P a release
+// lands on.
+func TestRoundFixedCostIndependentOfWorkers(t *testing.T) {
+	if testutil.RaceBuild() {
+		t.Skip("the race detector allocates on its own account")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	perRound := func(nw, fw int) float64 {
+		cfg := allocConfig(t)
+		cfg.NW, cfg.FW = nw, fw
+		c, err := core.NewCluster(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		mallocs := func(rounds int) uint64 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := c.RunSSMW(core.RunOptions{Iterations: rounds}); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			return after.Mallocs - before.Mallocs
+		}
+		mallocs(10) // dials, sizes every buffer, passes one epoch boundary
+		short, long := mallocs(20), mallocs(60)
+		return float64(long-short) / 40
+	}
+	few, many := perRound(5, 1), perRound(17, 3)
+	t.Logf("objects per round: %.2f at nw = 5, %.2f at nw = 17", few, many)
+	if many > 12 {
+		t.Fatalf("a steady-state round allocates %.2f objects at nw = 17, want <= 12", many)
+	}
+	if d := many - few; d > 1 || d < -1 {
+		t.Fatalf("a round's object count grows with the fleet: %.2f at nw = 5, %.2f at nw = 17", few, many)
+	}
+}

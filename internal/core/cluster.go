@@ -258,6 +258,7 @@ type Cluster struct {
 	// never mutated in place.
 	memMu   sync.RWMutex
 	epoch   uint64       // roster version; bumped by every transition
+	roster  Roster       // the snapshot of epoch, rebuilt only when it changes
 	clients []rpc.Caller // one per server replica; see NewCluster
 
 	workerAddrs  []string
@@ -357,6 +358,7 @@ func NewClusterWith(cfg Config, wiring Wiring) (*Cluster, error) {
 			return nil, fmt.Errorf("core: start server %d: %w", i, err)
 		}
 	}
+	c.roster = c.buildRosterLocked() // epoch 0; nobody else holds c yet
 	return c, nil
 }
 

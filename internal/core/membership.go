@@ -28,7 +28,9 @@ import (
 // Roster is an immutable snapshot of the active fleet at one epoch. Indices
 // are stable: they name node slots in the Cluster's append-only tables, so a
 // snapshot taken at epoch e can still address its nodes after later
-// transitions. The address slices are parallel to the index slices.
+// transitions. The address slices are parallel to the index slices. A
+// snapshot is built once per epoch and every Roster call of that epoch
+// returns the same slices, so holders read them and never write.
 type Roster struct {
 	// Epoch is the roster version this snapshot was taken at. Epoch 0 is
 	// the construction-time fleet; every join/leave/depart/scale bumps it.
@@ -49,6 +51,8 @@ type Roster struct {
 	ServerAddrs []string
 	ServersByz  []bool
 	FPS         int
+
+	honest []int // see HonestServers
 }
 
 // NW returns the active worker count.
@@ -58,22 +62,15 @@ func (r Roster) NW() int { return len(r.Workers) }
 func (r Roster) NPS() int { return len(r.Servers) }
 
 // HonestServers returns the active non-Byzantine replica indices — the
-// replicas whose training loops the protocol runners drive.
-func (r Roster) HonestServers() []int {
-	out := make([]int, 0, len(r.Servers)-r.FPS)
-	for k, i := range r.Servers {
-		if !r.ServersByz[k] {
-			out = append(out, i)
-		}
-	}
-	return out
-}
+// replicas whose training loops the protocol runners drive. Like the other
+// slices it is computed once per snapshot and read-only.
+func (r Roster) HonestServers() []int { return r.honest }
 
-// Roster returns a snapshot of the current active fleet.
+// Roster returns the snapshot of the current active fleet.
 func (c *Cluster) Roster() Roster {
 	c.memMu.RLock()
 	defer c.memMu.RUnlock()
-	return c.rosterLocked()
+	return c.roster
 }
 
 // RosterEpoch returns the current roster version without building the full
@@ -84,7 +81,9 @@ func (c *Cluster) RosterEpoch() uint64 {
 	return c.epoch
 }
 
-func (c *Cluster) rosterLocked() Roster {
+// buildRosterLocked derives a snapshot from the node tables and active flags
+// as they stand — the committed fleet, or mid-transition the prospective one.
+func (c *Cluster) buildRosterLocked() Roster {
 	r := Roster{Epoch: c.epoch}
 	for i, active := range c.workerActive {
 		if !active {
@@ -106,6 +105,8 @@ func (c *Cluster) rosterLocked() Roster {
 		r.ServersByz = append(r.ServersByz, c.serverByz[i])
 		if c.serverByz[i] {
 			r.FPS++
+		} else {
+			r.honest = append(r.honest, i)
 		}
 	}
 	return r
@@ -178,12 +179,14 @@ func (c *Cluster) prospectiveLocked() (nw, fw, nps, fps int) {
 	return nw, fw, nps, fps
 }
 
-// commitLocked finalizes a validated transition: bumps the epoch and rebinds
-// the pull-target lists of every active server replica to the new roster.
+// commitLocked finalizes a validated transition: bumps the epoch, builds its
+// snapshot — the one every Roster call returns until the next transition —
+// and rebinds the pull-target lists of every active server replica to it.
 // In-flight pull rounds keep the list snapshot they started with.
 func (c *Cluster) commitLocked() {
 	c.epoch++
-	r := c.rosterLocked()
+	c.roster = c.buildRosterLocked()
+	r := c.roster
 	for _, i := range r.Servers {
 		c.servers[i].SetWorkers(r.WorkerAddrs)
 		c.servers[i].SetPeers(r.ServerAddrs)
@@ -260,7 +263,7 @@ func (c *Cluster) joinServerLocked(checkpoint io.Reader) (int, error) {
 		}
 		checkpoint = &buf
 	}
-	r := c.rosterLocked()
+	r := c.buildRosterLocked() // not c.roster: a batch scale-up joins several before it commits
 	peers := append(append([]string(nil), r.ServerAddrs...), "server-"+strconv.Itoa(idx))
 	if err := c.addServer(r.WorkerAddrs, peers, nil, false, checkpoint); err != nil {
 		return 0, fmt.Errorf("core: join server %d: %w", idx, err)

@@ -267,3 +267,99 @@ func TestAsyncRebindsFetchersAcrossEpochs(t *testing.T) {
 		t.Fatalf("epoch = %d, want 2", epoch)
 	}
 }
+
+// TestRosterSnapshotIsPerEpoch: Roster hands out one snapshot per epoch —
+// the same slices on every call, HonestServers included, with nothing built
+// per call — and a snapshot taken before a transition is unchanged after it
+// while a new call reflects the transition.
+func TestRosterSnapshotIsPerEpoch(t *testing.T) {
+	c := newTestCluster(t, baseConfig(t)) // nw=7 fw=1, nps=4 fps=1
+	type frozen struct {
+		ro      Roster
+		workers []int
+		addrs   []string
+		servers []int
+		honest  []int
+	}
+	freeze := func() frozen {
+		ro := c.Roster()
+		return frozen{
+			ro:      ro,
+			workers: append([]int(nil), ro.Workers...),
+			addrs:   append([]string(nil), ro.WorkerAddrs...),
+			servers: append([]int(nil), ro.Servers...),
+			honest:  append([]int(nil), ro.HonestServers()...),
+		}
+	}
+	same := func(a, b []int) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				return false
+			}
+		}
+		return true
+	}
+	check := func(what string, f frozen) {
+		t.Helper()
+		if !same(f.ro.Workers, f.workers) || !same(f.ro.Servers, f.servers) || !same(f.ro.HonestServers(), f.honest) {
+			t.Fatalf("a snapshot taken before %s changed under it: workers %v servers %v honest %v",
+				what, f.ro.Workers, f.ro.Servers, f.ro.HonestServers())
+		}
+		for i, a := range f.addrs {
+			if f.ro.WorkerAddrs[i] != a {
+				t.Fatalf("a snapshot taken before %s changed under it: worker address %d", what, i)
+			}
+		}
+	}
+
+	before := freeze()
+	if !same(before.honest, []int{0, 1, 2}) {
+		t.Fatalf("honest servers = %v, want [0 1 2]", before.honest)
+	}
+	again := c.Roster()
+	if &again.Workers[0] != &before.ro.Workers[0] || &again.HonestServers()[0] != &before.ro.HonestServers()[0] {
+		t.Fatal("two Roster calls within one epoch built two snapshots")
+	}
+	if allocs := testing.AllocsPerRun(20, func() { _ = c.Roster().HonestServers() }); allocs != 0 {
+		t.Fatalf("Roster + HonestServers allocate %v objects per call, want 0", allocs)
+	}
+
+	idx, err := c.JoinWorker()
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("JoinWorker", before)
+	joined := freeze()
+	if joined.ro.Epoch != 1 || joined.ro.NW() != 8 || joined.workers[7] != idx {
+		t.Fatalf("after JoinWorker: epoch %d workers %v", joined.ro.Epoch, joined.workers)
+	}
+
+	if err := c.LeaveServer(1); err != nil {
+		t.Fatal(err)
+	}
+	check("LeaveServer", before)
+	check("LeaveServer", joined)
+	left := freeze()
+	if left.ro.Epoch != 2 || !same(left.servers, []int{0, 2, 3}) || !same(left.honest, []int{0, 2}) {
+		t.Fatalf("after LeaveServer(1): epoch %d servers %v honest %v", left.ro.Epoch, left.servers, left.honest)
+	}
+
+	if err := c.ScaleWorkers(-2); err != nil {
+		t.Fatal(err)
+	}
+	check("ScaleWorkers", joined)
+	check("ScaleWorkers", left)
+	if ro := c.Roster(); ro.Epoch != 3 || ro.NW() != 6 || !same(ro.Workers, []int{0, 1, 2, 3, 4, 5}) {
+		t.Fatalf("after ScaleWorkers(-2): epoch %d workers %v", ro.Epoch, ro.Workers)
+	}
+	// A rejected transition leaves the snapshot alone.
+	if err := c.ScaleWorkers(-6); err == nil {
+		t.Fatal("scaling the fleet down to no workers was accepted")
+	}
+	if ro := c.Roster(); ro.Epoch != 3 || ro.NW() != 6 {
+		t.Fatalf("a rejected scale-down changed the roster: epoch %d nw %d", ro.Epoch, ro.NW())
+	}
+}

@@ -79,8 +79,14 @@ type recordingModel struct {
 }
 
 func (m *recordingModel) Gradient(params tensor.Vector, batch data.Batch) (tensor.Vector, error) {
+	// A batch is valid only for the call (data.Batch): the worker refills
+	// its slices for the next request, so remembering it means copying it.
+	kept := data.Batch{
+		Features: append([]tensor.Vector(nil), batch.Features...),
+		Labels:   append([]int(nil), batch.Labels...),
+	}
 	m.mu.Lock()
-	m.batches[params[0]] = batch
+	m.batches[params[0]] = kept
 	m.mu.Unlock()
 	return m.Model.Gradient(params, batch)
 }

@@ -70,6 +70,9 @@ type Server struct {
 	// one at a time, and a pull's tasks have all finished reading the request
 	// when PullFirstQInto returns.
 	reqVec tensor.Vector
+	// pulled is the vector list a pull hands to its aggregation, reused for
+	// the same reason: it is consumed before the server's next pull.
+	pulled []tensor.Vector
 
 	// Deterministic-mode reply cache for Byzantine servers: a stochastic
 	// attack draws once per (kind, step) and every puller of that step
@@ -270,7 +273,7 @@ type pullReq struct {
 }
 
 // pull runs one quorum pull and returns the fastest q reply vectors, decoded
-// into the server's arena (valid until its next pull).
+// into the server's arena (they and the list are valid until its next pull).
 func (s *Server) pull(ctx context.Context, p pullReq) ([]tensor.Vector, error) {
 	replies, err := s.client.PullFirstQInto(ctx, p.peers, p.q, p.req, s.arena)
 	if err != nil {
@@ -363,11 +366,11 @@ func (s *Server) replyVectors(replies []rpc.Reply) []tensor.Vector {
 	if s.det {
 		sort.Slice(replies, func(i, j int) bool { return replies[i].From < replies[j].From })
 	}
-	out := make([]tensor.Vector, len(replies))
-	for i, r := range replies {
-		out[i] = r.Vec
+	s.pulled = s.pulled[:0]
+	for _, r := range replies {
+		s.pulled = append(s.pulled, r.Vec)
 	}
-	return out
+	return s.pulled
 }
 
 // UpdateModel applies an aggregated gradient through the optimizer — the
@@ -455,7 +458,11 @@ func (s *Server) GetShardPart(ctx context.Context, owner string, step uint32, sh
 // ComputeAccuracy evaluates top-1 accuracy of the current model on the test
 // set — the paper's compute_accuracy method.
 func (s *Server) ComputeAccuracy(test *data.Dataset) (float64, error) {
-	return s.arch.Accuracy(s.Params(), test)
+	s.mu.RLock()
+	params := borrowCopy(s.params)
+	s.mu.RUnlock()
+	defer tensor.PutVec(params)
+	return s.arch.Accuracy(params, test)
 }
 
 // Handle implements rpc.Handler: serves model, aggregated-gradient and ping

@@ -52,6 +52,10 @@ type Worker struct {
 	mu       sync.Mutex
 	sampler  *data.Sampler
 	velocity tensor.Vector
+	// batches is the free list of batch scratch: a request takes one for its
+	// draw and hands it back after Gradient. Per request, not per sampler —
+	// replicas pull one worker concurrently and mu is not held across Gradient.
+	batches []data.Batch
 
 	// serveDelay is an injected per-request service delay in nanoseconds —
 	// a slow node (overloaded or under-provisioned worker) as opposed to a
@@ -186,10 +190,7 @@ func NewWorker(arch model.Model, shard *data.Dataset, batchSize int, seed uint64
 // enabled, the reply is the smoothed velocity v = mu*v + g. The caller owns
 // the result (model.Model.Gradient's borrowed vector).
 func (w *Worker) ComputeGradient(params tensor.Vector) (tensor.Vector, error) {
-	w.mu.Lock()
-	batch := w.sampler.Next(w.batchSize)
-	w.mu.Unlock()
-	g, err := w.arch.Gradient(params, batch)
+	g, err := w.drawGradient(params)
 	if err != nil {
 		return nil, fmt.Errorf("core: worker gradient: %w", err)
 	}
@@ -206,6 +207,24 @@ func (w *Worker) ComputeGradient(params tensor.Vector) (tensor.Vector, error) {
 	}
 	copy(g, w.velocity)
 	return g, nil
+}
+
+// drawGradient estimates the gradient at params on the sampler's next
+// mini-batch, drawn into a scratch batch that is the request's own until
+// Gradient returns (model.Model.Gradient reads a batch only during the call).
+func (w *Worker) drawGradient(params tensor.Vector) (tensor.Vector, error) {
+	w.mu.Lock()
+	var batch data.Batch
+	if n := len(w.batches); n > 0 {
+		batch, w.batches = w.batches[n-1], w.batches[:n-1]
+	}
+	batch = w.sampler.Next(batch, w.batchSize)
+	w.mu.Unlock()
+	g, err := w.arch.Gradient(params, batch)
+	w.mu.Lock()
+	w.batches = append(w.batches, batch)
+	w.mu.Unlock()
+	return g, err
 }
 
 // attacked computes the worker's reply vector at params: the gradient
@@ -243,10 +262,7 @@ func (w *Worker) estimatePeers(params tensor.Vector) []tensor.Vector {
 	}
 	peers := make([]tensor.Vector, 0, w.selfPeers)
 	for i := 0; i < w.selfPeers; i++ {
-		w.mu.Lock()
-		batch := w.sampler.Next(w.batchSize)
-		w.mu.Unlock()
-		g, err := w.arch.Gradient(params, batch)
+		g, err := w.drawGradient(params)
 		if err != nil {
 			continue
 		}

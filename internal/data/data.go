@@ -32,6 +32,9 @@ type Dataset struct {
 }
 
 // Batch is a view over a subset of a dataset used for one gradient estimate.
+// A batch handed to a function is valid for that call only: whoever drew it
+// may refill its slices for the next draw (Sampler.Next), so a callee that
+// keeps a batch copies the two slices.
 type Batch struct {
 	Features []tensor.Vector
 	Labels   []int
@@ -72,13 +75,17 @@ func (d *Dataset) Subset(idx []int) *Dataset {
 	return out
 }
 
-// Batch returns the examples at the given indices as a Batch (shared
-// storage).
-func (d *Dataset) Batch(idx []int) Batch {
-	b := Batch{
-		Features: make([]tensor.Vector, len(idx)),
-		Labels:   make([]int, len(idx)),
+// Batch returns the examples at the given indices as a fresh Batch (feature
+// storage shared with d).
+func (d *Dataset) Batch(idx []int) Batch { return d.fill(Batch{}, idx) }
+
+// fill returns the examples at the given indices in b's slices, grown only
+// when their capacity falls short.
+func (d *Dataset) fill(b Batch, idx []int) Batch {
+	if cap(b.Features) < len(idx) || cap(b.Labels) < len(idx) {
+		b = Batch{Features: make([]tensor.Vector, len(idx)), Labels: make([]int, len(idx))}
 	}
+	b.Features, b.Labels = b.Features[:len(idx)], b.Labels[:len(idx)]
 	for i, j := range idx {
 		b.Features[i] = d.Features[j]
 		b.Labels[i] = d.Labels[j]
@@ -220,20 +227,22 @@ func NewSampler(ds *Dataset, seed uint64) (*Sampler, error) {
 	if ds.Len() == 0 {
 		return nil, ErrEmptyDataset
 	}
-	s := &Sampler{ds: ds, rng: tensor.NewRNG(seed)}
+	s := &Sampler{ds: ds, rng: tensor.NewRNG(seed), order: make([]int, ds.Len())}
 	s.reshuffle()
 	return s, nil
 }
 
 func (s *Sampler) reshuffle() {
-	s.order = s.rng.Perm(s.ds.Len())
+	s.rng.PermInto(s.order)
 	s.pos = 0
 }
 
 // Next returns the next mini-batch of the requested size, reshuffling at
 // epoch boundaries. Batches never span an epoch boundary; a short tail batch
-// is returned instead.
-func (s *Sampler) Next(batchSize int) Batch {
+// is returned instead. The batch is built in scratch's slices — pass the
+// previous draw back once nothing reads it any more, or a zero Batch for a
+// fresh one — so a steady draw loop allocates nothing.
+func (s *Sampler) Next(scratch Batch, batchSize int) Batch {
 	if batchSize <= 0 {
 		batchSize = 1
 	}
@@ -244,7 +253,7 @@ func (s *Sampler) Next(batchSize int) Batch {
 	if end > len(s.order) {
 		end = len(s.order)
 	}
-	b := s.ds.Batch(s.order[s.pos:end])
+	b := s.ds.fill(scratch, s.order[s.pos:end])
 	s.pos = end
 	return b
 }

@@ -204,8 +204,9 @@ func TestSamplerCoversEpoch(t *testing.T) {
 	}
 	seen := map[*float64]bool{}
 	count := 0
+	var b Batch
 	for count < train.Len() {
-		b := s.Next(32)
+		b = s.Next(b, 32)
 		for _, f := range b.Features {
 			seen[&f[0]] = true
 		}
@@ -227,7 +228,7 @@ func TestSamplerReshuffles(t *testing.T) {
 	}
 	// Drain two epochs; must not panic and must keep returning batches.
 	for i := 0; i < 2*train.Len()/16+2; i++ {
-		b := s.Next(16)
+		b := s.Next(Batch{}, 16)
 		if len(b.Labels) == 0 {
 			t.Fatal("empty batch")
 		}
@@ -249,7 +250,7 @@ func TestSamplerBatchSizeClamp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := s.Next(0)
+	b := s.Next(Batch{}, 0)
 	if len(b.Labels) != 1 {
 		t.Fatalf("Next(0) batch size = %d, want 1", len(b.Labels))
 	}

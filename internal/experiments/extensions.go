@@ -60,10 +60,12 @@ func ExtMomentum(opt Options) (Renderable, error) {
 		}
 		full := train.Batch(allIdx)
 		satisfied := make(map[string]int, len(rules))
+		var drawn data.Batch // refilled per draw: Gradient reads it only during the call
 		for step := 0; step < steps; step++ {
 			grads := make([]tensor.Vector, n)
 			for i := 0; i < n; i++ {
-				g, err := arch.Gradient(params, samplers[i].Next(batchSize))
+				drawn = samplers[i].Next(drawn, batchSize)
+				g, err := arch.Gradient(params, drawn)
 				if err != nil {
 					return nil, err
 				}

@@ -173,8 +173,9 @@ func TestKernelMatchesReferenceSamplerTail(t *testing.T) {
 		params[i] = r.m.InitParams(tensor.NewRNG(3))
 	}
 	sizes := map[int]bool{}
+	var batch data.Batch
 	for step := 0; step < 12; step++ {
-		batch := sampler.Next(32)
+		batch = sampler.Next(batch, 32)
 		sizes[len(batch.Features)] = true
 		for i, r := range refs {
 			requireEquivalent(t, r, params[i], batch)

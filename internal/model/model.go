@@ -36,6 +36,9 @@ type Model interface {
 	// params. The caller owns the result, which the built-in models draw
 	// from the vector pool: a caller done with it may hand it back with
 	// tensor.PutVec, and one that never does leaves it to the collector.
+	// batch is valid only for the call (see data.Batch): the caller refills
+	// its slices for the next draw, so an implementation that keeps the
+	// batch copies it.
 	Gradient(params tensor.Vector, batch data.Batch) (tensor.Vector, error)
 	// Loss computes the average cross-entropy loss of the batch at params.
 	Loss(params tensor.Vector, batch data.Batch) (float64, error)

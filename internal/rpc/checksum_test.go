@@ -198,12 +198,16 @@ func TestClientIdentityStamped(t *testing.T) {
 	if got := <-seen; got != "server-7" {
 		t.Fatalf("pooled client stamped From = %q, want server-7", got)
 	}
-	cl := NewClientAs(mem, "node-3")
-	if _, err := cl.Call(context.Background(), "s", Request{Kind: KindPing}); err != nil {
-		t.Fatal(err)
-	}
-	if got := <-seen; got != "node-3" {
-		t.Fatalf("client stamped From = %q, want node-3", got)
+	// A second caller on its own connection: the serving loop keeps a
+	// connection's From string between requests, never across connections.
+	other := pooled(t, NewPooledClientAs(mem, "node-3"))
+	for i := 0; i < 2; i++ {
+		if _, err := other.Call(context.Background(), "s", Request{Kind: KindPing}); err != nil {
+			t.Fatal(err)
+		}
+		if got := <-seen; got != "node-3" {
+			t.Fatalf("client stamped From = %q, want node-3", got)
+		}
 	}
 }
 
@@ -267,7 +271,7 @@ func TestCorrelationRejectsShiftedReply(t *testing.T) {
 		// Answer with a stale echo (previous step).
 		_ = writeResponseFrame(conn, Response{OK: true, EchoKind: KindGetModel, EchoStep: 6, Vec: tensor.Vector{1}})
 	}()
-	client := NewClient(mem)
+	client := pooled(t, NewPooledClient(mem))
 	_, err = client.Call(context.Background(), "s", Request{Kind: KindGetModel, Step: 7})
 	if !errors.Is(err, ErrMismatchedReply) {
 		t.Fatalf("err = %v, want ErrMismatchedReply", err)

@@ -5,15 +5,16 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"garfield/internal/tensor"
-	"garfield/internal/transport"
 )
 
 // Caller is the pull-call contract the protocol layer programs against: one
 // request/response round trip plus the first-q-of-n collection primitive.
-// Client (dial-per-call) and PooledClient (persistent connections, the
-// protocol default) both implement it.
+// PooledClient implements it over a transport.Network; the simulator and the
+// benchmark's tracer provide their own.
 type Caller interface {
 	// Call performs one request/response round trip with a single peer.
 	Call(ctx context.Context, addr string, req Request) (tensor.Vector, error)
@@ -38,44 +39,6 @@ type ReplySlots interface {
 	ReplySlot(i int) *tensor.Vector
 }
 
-// callerInto is the internal decode-into contract shared by Client and
-// PooledClient: one round trip whose reply vector is decoded into *dst when
-// dst is non-nil (capacity reuse via tensor.Resize), freshly allocated
-// otherwise.
-type callerInto interface {
-	callInto(ctx context.Context, addr string, req Request, dst *tensor.Vector) (tensor.Vector, error)
-}
-
-// Client issues pull requests to peers. Calls are parallelized across peers
-// (Section 4.1: "our implementation parallelizes RPC calls"), and the
-// first-q-of-n collection primitive implements the semantics of
-// get_gradients(t, q): return the fastest q replies, cancel the stragglers.
-type Client struct {
-	network transport.Network
-	self    string
-}
-
-var _ Caller = (*Client)(nil)
-
-// NewClient returns a client dialing over the given network.
-func NewClient(network transport.Network) *Client {
-	return &Client{network: network}
-}
-
-// NewClientAs is NewClient with a caller identity: every request that does
-// not already carry one is stamped with self (see Request.From).
-func NewClientAs(network transport.Network, self string) *Client {
-	return &Client{network: network, self: self}
-}
-
-// stamp fills in the caller identity on requests that lack one.
-func stamp(req Request, self string) Request {
-	if req.From == "" {
-		req.From = self
-	}
-	return req
-}
-
 var (
 	// ErrQuorum is returned by PullFirstQ when fewer than q peers replied
 	// successfully before the context expired or all calls failed.
@@ -98,7 +61,7 @@ var (
 // A zero echo on a decline is the server's "anonymous decline" for an
 // unreadable (corrupted/malformed) request and passes; anything else must
 // echo the request exactly.
-func correlate(req Request, resp Response) error {
+func correlate(req *Request, resp Response) error {
 	if resp.EchoKind == req.Kind && resp.EchoStep == req.Step {
 		return nil
 	}
@@ -107,66 +70,6 @@ func correlate(req Request, resp Response) error {
 	}
 	return fmt.Errorf("%w: got %v/step %d for %v/step %d",
 		ErrMismatchedReply, resp.EchoKind, resp.EchoStep, req.Kind, req.Step)
-}
-
-// Call performs one request/response round trip with a single peer. Each
-// call uses a dedicated connection, torn down afterwards; connection cost on
-// the in-memory and loopback transports is negligible, and independence
-// between calls is what lets PullFirstQ cancel stragglers safely.
-func (c *Client) Call(ctx context.Context, addr string, req Request) (tensor.Vector, error) {
-	return c.callInto(ctx, addr, req, nil)
-}
-
-// callInto is Call decoding the reply into *dst when dst is non-nil.
-func (c *Client) callInto(ctx context.Context, addr string, req Request, dst *tensor.Vector) (tensor.Vector, error) {
-	req = stamp(req, c.self)
-	conn, err := c.network.Dial(ctx, addr)
-	if err != nil {
-		return nil, fmt.Errorf("rpc: dial %q: %w", addr, err)
-	}
-	defer func() { _ = conn.Close() }()
-
-	// Honour ctx cancellation while blocked on pipe/socket I/O.
-	done := make(chan struct{})
-	var closeOnce sync.Once
-	go func() {
-		select {
-		case <-ctx.Done():
-			closeOnce.Do(func() { _ = conn.Close() })
-		case <-done:
-		}
-	}()
-	defer close(done)
-
-	if err := writeRequestFrame(conn, req); err != nil {
-		return nil, fmt.Errorf("rpc: send to %q: %w", addr, wrapCtx(ctx, err))
-	}
-	payload, err := readFramePooled(conn)
-	if err != nil {
-		return nil, fmt.Errorf("rpc: receive from %q: %w", addr, wrapCtx(ctx, err))
-	}
-	resp, err := decodeResponseInto(dst, *payload, replyDimBound(req))
-	putBuf(payload)
-	if err != nil {
-		return nil, fmt.Errorf("rpc: from %q: %w", addr, err)
-	}
-	if err := correlate(req, resp); err != nil {
-		return nil, fmt.Errorf("rpc: %q: %w", addr, err)
-	}
-	if !resp.OK {
-		return nil, fmt.Errorf("rpc: %q: %w", addr, ErrNotServed)
-	}
-	return resp.Vec, nil
-}
-
-// PullFirstQ implements Caller; see pullFirstQ.
-func (c *Client) PullFirstQ(ctx context.Context, peers []string, q int, req Request) ([]Reply, error) {
-	return pullFirstQ(ctx, c, peers, q, req, nil)
-}
-
-// PullFirstQInto implements Caller; see pullFirstQ.
-func (c *Client) PullFirstQInto(ctx context.Context, peers []string, q int, req Request, slots ReplySlots) ([]Reply, error) {
-	return pullFirstQ(ctx, c, peers, q, req, slots)
 }
 
 // wrapCtx surfaces context cancellation as the root cause when a connection
@@ -189,31 +92,138 @@ type pullResult struct {
 	err   error
 }
 
-type pullTask struct {
-	c    Caller
-	ci   callerInto // non-nil with dst: decode into the fused reply slot
-	ctx  context.Context
-	peer string
-	req  Request
-	dst  *tensor.Vector
-	out  chan<- pullResult
-	wg   *sync.WaitGroup
+// fanout is the unit of work of the pull path: one request, stamped, encoded
+// and checksummed once into a frame the client owns, and the tasks that write
+// those same bytes to every peer. A client keeps its fanouts on a free list
+// and a fanout keeps its frame, task slab and results channel between pulls,
+// so the fixed cost of a pull does not grow with the number of peers.
+//
+// The frame is read-only from the moment it is sealed: the per-peer writers
+// share it, a retry re-sends it, and the chaos links copy before they mangle.
+// It is overwritten only by the next pull that takes the fanout, which
+// PullFirstQInto allows only once every task has returned.
+type fanout struct {
+	c     *PooledClient
+	req   Request // as sent; replies are bounded by and correlated against it
+	frame []byte
+
+	tasks   []pullTask
+	results chan pullResult
+	wg      sync.WaitGroup
+
+	// The fanout is itself the context its tasks run under: the caller's
+	// context plus a cancellation the fanout owns (see cancel).
+	parent    context.Context
+	done      chan struct{}
+	cancelled atomic.Bool
 }
 
-func runPullTask(t *pullTask) {
-	defer t.wg.Done()
-	var vec tensor.Vector
-	var err error
-	if t.ci != nil {
-		vec, err = t.ci.callInto(t.ctx, t.peer, t.req, t.dst)
-	} else {
-		vec, err = t.c.Call(t.ctx, t.peer, t.req)
+var _ context.Context = (*fanout)(nil)
+
+func (f *fanout) Deadline() (time.Time, bool) { return f.parent.Deadline() }
+func (f *fanout) Value(key any) any           { return f.parent.Value(key) }
+func (f *fanout) Done() <-chan struct{}       { return f.done }
+func (f *fanout) Err() error {
+	if !f.cancelled.Load() {
+		return nil
 	}
-	t.out <- pullResult{reply: Reply{From: t.peer, Vec: vec}, err: err}
+	if err := f.parent.Err(); err != nil {
+		return err
+	}
+	return context.Canceled
 }
 
-// pullFirstQ fans the request out to every peer in parallel and returns as
-// soon as q replies have arrived, cancelling the outstanding calls. With
+// cancel ends the tasks still in flight. context.WithCancel would do, at
+// three objects a pull (the context, its cancel closure, its Done channel)
+// and a registration with the parent; the fanout needs neither, because its
+// collector already watches the parent and calls this when it fires. The done
+// channel is spent by a cancel and replaced by the next start — a pull that
+// heard from every peer never cancels and passes its channel on.
+func (f *fanout) cancel() {
+	f.cancelled.Store(true)
+	close(f.done)
+}
+
+// pullTask is one peer's share of a fanout. run is bound to call once, when
+// the slab is built, so that `go t.run()` starts the task without allocating
+// a closure.
+type pullTask struct {
+	f    *fanout
+	peer string
+	dst  *tensor.Vector
+	run  func()
+}
+
+func (t *pullTask) call() {
+	f := t.f
+	vec, err := f.c.roundTrip(f, t.peer, f, t.dst)
+	f.results <- pullResult{reply: Reply{From: t.peer, Vec: vec}, err: err}
+	f.wg.Done()
+}
+
+// seal makes req the fanout's request: stamped with the caller's identity
+// when it carries none, encoded and checksummed into the frame.
+func (f *fanout) seal(req Request) {
+	if req.From == "" {
+		req.From = f.c.self
+	}
+	f.req = req
+	f.frame = requestFrame(f.frame, req)
+}
+
+// start launches one task per peer under the caller's context. Slots are
+// resolved here, before any task runs, because resolving may grow the slot
+// table; each task then only writes through its own pre-resolved pointer.
+func (f *fanout) start(ctx context.Context, peers []string, slots ReplySlots) {
+	f.parent = ctx
+	if f.done == nil {
+		f.done = make(chan struct{})
+	}
+	if cap(f.tasks) < len(peers) {
+		f.tasks = make([]pullTask, len(peers))
+		for i := range f.tasks {
+			t := &f.tasks[i]
+			t.f, t.run = f, t.call
+		}
+		f.results = make(chan pullResult, len(peers))
+	}
+	f.tasks = f.tasks[:len(peers)]
+	for i, peer := range peers {
+		t := &f.tasks[i]
+		t.peer, t.dst = peer, nil
+		if slots != nil {
+			t.dst = slots.ReplySlot(i)
+		}
+	}
+	f.wg.Add(len(peers))
+	for i := range f.tasks {
+		go f.tasks[i].run()
+	}
+}
+
+// finish waits for every task — no goroutine outlives the pull, so the caller
+// may reuse the reply slots and the client the frame — and clears what the
+// stragglers left in the results channel.
+func (f *fanout) finish() {
+	f.wg.Wait()
+	for len(f.results) > 0 {
+		<-f.results
+	}
+	if f.cancelled.Load() {
+		f.done = nil
+		f.cancelled.Store(false)
+	}
+}
+
+// PullFirstQ implements Caller: PullFirstQInto with a fresh vector per reply.
+func (c *PooledClient) PullFirstQ(ctx context.Context, peers []string, q int, req Request) ([]Reply, error) {
+	return c.PullFirstQInto(ctx, peers, q, req, nil)
+}
+
+// PullFirstQInto implements Caller. It fans the request out to every peer in
+// parallel and returns as soon as q replies have arrived, cancelling the
+// outstanding calls — which leaves their connections pooled whenever the reply
+// stream is clean (see Call), so repeated pull rounds do not re-dial. With
 // q == len(peers) it behaves synchronously (wait for everyone); with
 // q < len(peers) it tolerates len(peers)-q slow, crashed or silent peers —
 // exactly the (q_w <= n_w) contract of the paper's get_gradients.
@@ -223,52 +233,33 @@ func runPullTask(t *pullTask) {
 // returned along with ErrQuorum.
 //
 // With non-nil slots (the fused decode path), peer i's reply decodes into
-// *slots.ReplySlot(i). Slots are resolved in this goroutine, before any task
-// starts, because resolving may grow the slot table; each spawned task then
-// only writes through its own pre-resolved pointer, and the deferred
-// wg.Wait guarantees no task outlives the call — so the caller may reuse the
-// slots for the next round the moment this returns.
-func pullFirstQ(ctx context.Context, c Caller, peers []string, q int, req Request, slots ReplySlots) ([]Reply, error) {
+// *slots.ReplySlot(i); the caller may reuse the slots for the next round the
+// moment this returns. A context without a deadline is bounded by
+// DefaultCallDeadline, once for the whole fan-out.
+func (c *PooledClient) PullFirstQInto(ctx context.Context, peers []string, q int, req Request, slots ReplySlots) ([]Reply, error) {
 	if q <= 0 || q > len(peers) {
 		return nil, fmt.Errorf("rpc: invalid quorum %d of %d peers", q, len(peers))
 	}
-	subCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var ci callerInto
-	if slots != nil {
-		// A Caller without the decode-into fast path serves slot-less pulls
-		// transparently.
-		ci, _ = c.(callerInto)
+	if _, ok := ctx.Deadline(); !ok {
+		var stop context.CancelFunc
+		ctx, stop = context.WithTimeout(ctx, DefaultCallDeadline)
+		defer stop()
 	}
-
-	results := make(chan pullResult, len(peers))
-	var wg sync.WaitGroup
-	// One flat task slab and a named goroutine body instead of per-peer
-	// closures: the fan-out itself costs two allocations however many peers
-	// participate.
-	tasks := make([]pullTask, len(peers))
-	for i, peer := range peers {
-		tasks[i] = pullTask{c: c, ctx: subCtx, peer: peer, req: req, out: results, wg: &wg}
-		if ci != nil {
-			tasks[i].ci = ci
-			tasks[i].dst = slots.ReplySlot(i)
-		}
-	}
-	for i := range tasks {
-		wg.Add(1)
-		go runPullTask(&tasks[i])
-	}
-	// Drain the results channel fully once all calls returned so the
-	// goroutines above never block; the buffer already guarantees that,
-	// the wait guarantees no goroutine outlives the call.
-	defer wg.Wait()
-
+	f := c.takeFanout()
+	f.seal(req)
+	f.start(ctx, peers, slots)
 	replies := make([]Reply, 0, q)
 	failures := 0
+	defer func() {
+		if len(replies)+failures < len(peers) {
+			f.cancel() // stragglers are no longer needed
+		}
+		f.finish()
+		c.putFanout(f)
+	}()
 	for range peers {
 		select {
-		case r := <-results:
+		case r := <-f.results:
 			if r.err != nil {
 				failures++
 				if failures > len(peers)-q {
@@ -279,7 +270,6 @@ func pullFirstQ(ctx context.Context, c Caller, peers []string, q int, req Reques
 			}
 			replies = append(replies, r.reply)
 			if len(replies) == q {
-				cancel() // stragglers are no longer needed
 				return replies, nil
 			}
 		case <-ctx.Done():

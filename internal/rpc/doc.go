@@ -16,9 +16,8 @@
 //     the paper parallelizes replicated communication. req.Vec is only
 //     valid for the duration of the call; retain a copy if needed.
 //   - Caller is the client side: one Call round trip plus the
-//     first-q-of-n PullFirstQ collection primitive. Client (dial-per-call)
-//     and PooledClient (persistent connections, the protocol default)
-//     both implement it.
+//     first-q-of-n PullFirstQ collection primitive. PooledClient
+//     (persistent connections) implements it.
 //   - Request/Response frame a Kind (gradient, model, aggregated-gradient,
 //     ping), a step counter, and one tensor.Vector payload, encoded with
 //     the unrolled codec of internal/tensor.
@@ -38,6 +37,8 @@
 // leaves a clean connection pooled with its reply drained by the next call,
 // and a connection that died while idle (peer restart, injected link fault)
 // is re-dialed transparently within one Call — pulls are idempotent reads,
-// so the single retry is safe. Wire buffers come from a sync.Pool, making
-// the hot path allocation-free up to the reply vectors themselves.
+// so the retry is safe. A pull's request is encoded once into a frame the
+// client owns and shares across the peers, and each connection end owns its
+// read and write buffers (see fanout and frameReader), so the fixed cost of
+// a pull does not grow with the number of peers.
 package rpc

@@ -15,27 +15,28 @@ import (
 	"garfield/internal/transport"
 )
 
-// PooledClient is a Client variant that keeps one persistent connection per
-// peer instead of dialing per call — the connection-reuse optimization real
-// gRPC deployments get from HTTP/2 channels. Requests to the same peer are
+// PooledClient issues pull requests to peers over one persistent connection
+// per peer — the connection reuse real gRPC deployments get from HTTP/2
+// channels. Calls are parallelized across peers (Section 4.1: "our
+// implementation parallelizes RPC calls"), and the first-q-of-n collection
+// primitive implements the semantics of get_gradients(t, q): return the
+// fastest q replies, cancel the stragglers. Requests to the same peer are
 // serialized over its connection (the wire protocol is strict
 // request/response); requests to different peers still run fully in
 // parallel, which is what Garfield's fan-out needs. For the same reason,
 // concurrent callers (e.g. several server replicas) should each own a
 // PooledClient rather than share one.
 //
-// PooledClient is the protocol default (core.Cluster and cmd/garfield-node
-// both construct one per node): per-call dial latency and dial allocations
-// disappear from the steady-state pull loop. Per-call cancellation semantics
-// are retained for straggler handling, and cancellation is cheap: a
+// core.Cluster and cmd/garfield-node both construct one per node. A steady
+// pull loop pays no dial and leaves no garbage: the request frame and the
+// fan-out's bookkeeping are reused from pull to pull (see fanout). Per-call
+// cancellation is kept for straggler handling, and it is cheap: a
 // cancelled call poisons the connection's I/O deadline to unblock itself,
 // and when the request had been fully written and no byte of the reply
 // consumed, the connection survives — the late reply is owed on the wire and
 // drained by the next call to that peer, so steady-state straggler
 // cancellation causes no re-dial churn. Only a cancellation that interrupts
-// mid-frame tears the connection down (it is re-dialed lazily). The
-// dial-per-call Client remains available for one-shot use and backs the
-// connection-reuse ablation bench.
+// mid-frame tears the connection down (it is re-dialed lazily).
 type PooledClient struct {
 	network transport.Network
 	self    string
@@ -61,6 +62,7 @@ type PooledClient struct {
 	mu       sync.Mutex
 	closed   bool
 	conns    map[string]*pooledConn
+	idle     []*fanout      // free list; see takeFanout
 	watchers sync.WaitGroup // the per-peer cancellation watchers; see Close
 }
 
@@ -168,6 +170,7 @@ type pooledConn struct {
 	mu      sync.Mutex
 	conn    net.Conn
 	rd      countingReader // wraps conn; detects partially-consumed frames
+	frames  frameReader    // reply buffer, kept across calls and re-dials
 	pending int            // replies owed on the wire by cancelled calls
 	closed  bool
 
@@ -280,6 +283,27 @@ func (c *PooledClient) peer(addr string) (*pooledConn, error) {
 	return pc, nil
 }
 
+// takeFanout pops a fanout off the client's free list, or builds one: a
+// client that issues one pull at a time reuses one fanout forever.
+func (c *PooledClient) takeFanout() *fanout {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if n := len(c.idle); n > 0 {
+		f := c.idle[n-1]
+		c.idle = c.idle[:n-1]
+		return f
+	}
+	return &fanout{c: c}
+}
+
+// putFanout returns a fanout none of whose tasks is running any more.
+func (c *PooledClient) putFanout(f *fanout) {
+	f.parent, f.req.Vec = nil, nil // the caller's, not ours to keep alive
+	c.mu.Lock()
+	c.idle = append(c.idle, f)
+	c.mu.Unlock()
+}
+
 // Per-call cancellation states; see Call.
 const (
 	callInFlight int32 = iota
@@ -340,30 +364,36 @@ func (c *PooledClient) jitterBackoff(d time.Duration) time.Duration {
 // layer: immediately first, then under bounded exponential backoff with
 // jitter (see maxCallAttempts). Retry counts and backoff time are exposed in
 // WireStats. A context without a deadline is bounded by DefaultCallDeadline.
+// The request is encoded and checksummed once; every attempt re-sends those
+// bytes.
 func (c *PooledClient) Call(ctx context.Context, addr string, req Request) (tensor.Vector, error) {
-	return c.callInto(ctx, addr, req, nil)
-}
-
-// callInto is Call decoding the reply into *dst when dst is non-nil. The
-// destination survives retries: each attempt decodes over the same backing
-// array, and only a successful decode re-points *dst.
-func (c *PooledClient) callInto(ctx context.Context, addr string, req Request, dst *tensor.Vector) (tensor.Vector, error) {
-	req = stamp(req, c.self)
-	pc, err := c.peer(addr)
-	if err != nil {
-		return nil, err
-	}
 	if _, ok := ctx.Deadline(); !ok {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, DefaultCallDeadline)
 		defer cancel()
+	}
+	f := c.takeFanout()
+	f.seal(req)
+	vec, err := c.roundTrip(ctx, addr, f, nil)
+	c.putFanout(f)
+	return vec, err
+}
+
+// roundTrip sends f's sealed frame to one peer and decodes the reply, into
+// *dst when dst is non-nil. The destination survives retries: each attempt
+// decodes over the same backing array, and only a successful decode re-points
+// *dst. Every attempt writes the same frame bytes.
+func (c *PooledClient) roundTrip(ctx context.Context, addr string, f *fanout, dst *tensor.Vector) (tensor.Vector, error) {
+	pc, err := c.peer(addr)
+	if err != nil {
+		return nil, err
 	}
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 
 	backoff := retryBackoffBase
 	for attempt := 1; ; attempt++ {
-		vec, retry, err := c.callLocked(ctx, pc, addr, req, dst)
+		vec, retry, err := c.callLocked(ctx, pc, addr, f, dst)
 		if err == nil || !retry || attempt >= maxCallAttempts || ctx.Err() != nil {
 			return vec, err
 		}
@@ -395,7 +425,7 @@ func (c *PooledClient) callInto(ctx context.Context, addr string, req Request, d
 // connection had been reused (so it may simply have died while idle), no
 // byte of this call's reply was consumed, and the failure was not a
 // caller-initiated cancellation.
-func (c *PooledClient) callLocked(ctx context.Context, pc *pooledConn, addr string, req Request, dst *tensor.Vector) (vec tensor.Vector, retry bool, err error) {
+func (c *PooledClient) callLocked(ctx context.Context, pc *pooledConn, addr string, f *fanout, dst *tensor.Vector) (vec tensor.Vector, retry bool, err error) {
 	if pc.closed {
 		return nil, false, errClientClosed
 	}
@@ -444,7 +474,7 @@ func (c *PooledClient) callLocked(ctx context.Context, pc *pooledConn, addr stri
 	// positioned at this call's response.
 	for pc.pending > 0 {
 		start := pc.rd.n
-		stale, err := readFramePooled(&pc.rd)
+		stale, err := pc.frames.next(&pc.rd)
 		if err != nil {
 			if pc.state.Load() == callCancelled && pc.rd.n == start {
 				// Cancelled before the stale reply arrived; the stream
@@ -454,20 +484,19 @@ func (c *PooledClient) callLocked(ctx context.Context, pc *pooledConn, addr stri
 			}
 			return fail("drain", err)
 		}
-		c.bytesIn.Add(uint64(frameHeaderSize + len(*stale)))
-		putBuf(stale)
+		c.bytesIn.Add(uint64(frameHeaderSize + len(stale)))
 		pc.pending--
 	}
 
 	c.calls.Add(1)
-	c.bytesOut.Add(uint64(frameHeaderSize + encodedRequestSize(req)))
-	if err := writeRequestFrame(pc.conn, req); err != nil {
+	c.bytesOut.Add(uint64(len(f.frame)))
+	if _, err := pc.conn.Write(f.frame); err != nil {
 		// A failed or interrupted write leaves the request stream in an
 		// unknown state; the connection cannot be reused.
 		return fail("send to", err)
 	}
 	start := pc.rd.n
-	payload, err := readFramePooled(&pc.rd)
+	payload, err := pc.frames.next(&pc.rd)
 	if err != nil {
 		if pc.state.Load() == callCancelled && pc.rd.n == start {
 			// Request fully sent, no reply byte consumed: the peer still
@@ -484,10 +513,10 @@ func (c *PooledClient) callLocked(ctx context.Context, pc *pooledConn, addr stri
 		}
 		return fail("receive from", err)
 	}
-	c.bytesIn.Add(uint64(frameHeaderSize + len(*payload)))
-	payloadLen := len(*payload)
-	resp, err := decodeResponseInto(dst, *payload, replyDimBound(req))
-	putBuf(payload)
+	c.bytesIn.Add(uint64(frameHeaderSize + len(payload)))
+	payloadLen := len(payload)
+	req := &f.req
+	resp, err := decodeResponseInto(dst, payload, replyDimBound(req))
 	if err != nil {
 		reused = false // protocol corruption, not an idle death
 		return fail("decode from", err)
@@ -524,16 +553,4 @@ func (c *PooledClient) callLocked(ctx context.Context, pc *pooledConn, addr stri
 	}
 	c.replyFP64.Add(uint64(baseline))
 	return resp.Vec, false, nil
-}
-
-// PullFirstQ implements Caller; see pullFirstQ. Straggler cancellation
-// leaves the affected connections pooled whenever the reply stream is clean
-// (see Call), so repeated pull rounds do not re-dial.
-func (c *PooledClient) PullFirstQ(ctx context.Context, peers []string, q int, req Request) ([]Reply, error) {
-	return pullFirstQ(ctx, c, peers, q, req, nil)
-}
-
-// PullFirstQInto implements Caller; see pullFirstQ.
-func (c *PooledClient) PullFirstQInto(ctx context.Context, peers []string, q int, req Request, slots ReplySlots) ([]Reply, error) {
-	return pullFirstQ(ctx, c, peers, q, req, slots)
 }

@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net"
@@ -111,5 +112,49 @@ func TestPooledRetriesIdleDeath(t *testing.T) {
 	faulty.SetDelay("peer", time.Millisecond)
 	if _, err := c.Call(context.Background(), "peer", req); err != nil {
 		t.Fatalf("one Call over a severed-idle connection failed: %v", err)
+	}
+}
+
+// TestPooledRetryResendsTheSameFrame: the request is encoded once per Call;
+// the attempt that dies with the idle connection and the retry over the
+// fresh one write the same bytes from the same buffer.
+func TestPooledRetryResendsTheSameFrame(t *testing.T) {
+	faulty := transport.NewFaulty(transport.NewMem())
+	srv, err := Serve(faulty, "peer", echoHandler())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	tap := &tapNetwork{Network: faulty}
+	c := NewPooledClientAs(tap, "server-1")
+	defer c.Close()
+
+	req := Request{Kind: KindGetGradient, Step: 4, Vec: tensor.Vector{1, 2, 3}}
+	if _, err := c.Call(context.Background(), "peer", req); err != nil {
+		t.Fatal(err)
+	}
+	tap.take()
+	faulty.SetDelay("peer", time.Millisecond) // severs the idle connection
+	out, err := c.Call(context.Background(), "peer", req)
+	if err != nil {
+		t.Fatalf("one Call over a severed-idle connection failed: %v", err)
+	}
+	if out[2] != 6 {
+		t.Fatalf("out = %v", out)
+	}
+	if c.Stats().Retries == 0 {
+		t.Fatal("the severed connection caused no retry: nothing was re-sent")
+	}
+	writes := tap.take()
+	if len(writes) < 2 {
+		t.Fatalf("%d writes, want the dead attempt and its retry", len(writes))
+	}
+	stamped := req
+	stamped.From = "server-1"
+	want := requestFrame(nil, stamped)
+	for i, w := range writes {
+		if !bytes.Equal(w.data, want) || w.backing != writes[0].backing {
+			t.Fatalf("attempt %d sent other bytes, or a re-encoded copy, than attempt 0", i)
+		}
 	}
 }

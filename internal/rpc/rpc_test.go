@@ -99,7 +99,7 @@ func TestCallRoundTrip(t *testing.T) {
 	}
 	defer srv.Close()
 
-	c := NewClient(net)
+	c := pooled(t, NewPooledClient(net))
 	out, err := c.Call(context.Background(), "peer",
 		Request{Kind: KindGetGradient, Step: 1, Vec: tensor.Vector{1, 2}})
 	if err != nil {
@@ -118,7 +118,7 @@ func TestCallDeclined(t *testing.T) {
 	}
 	defer srv.Close()
 
-	c := NewClient(net)
+	c := pooled(t, NewPooledClient(net))
 	_, err = c.Call(context.Background(), "peer", Request{Kind: KindPing})
 	if !errors.Is(err, ErrNotServed) {
 		t.Fatalf("err = %v, want ErrNotServed", err)
@@ -126,7 +126,7 @@ func TestCallDeclined(t *testing.T) {
 }
 
 func TestCallUnknownPeer(t *testing.T) {
-	c := NewClient(transport.NewMem())
+	c := pooled(t, NewPooledClient(transport.NewMem()))
 	if _, err := c.Call(context.Background(), "ghost", Request{Kind: KindPing}); err == nil {
 		t.Fatal("expected dial error")
 	}
@@ -148,7 +148,7 @@ func TestCallContextCancelUnblocks(t *testing.T) {
 	defer srv.Close()
 	defer close(block)
 
-	c := NewClient(net)
+	c := pooled(t, NewPooledClient(net))
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
@@ -217,7 +217,7 @@ func TestPullFirstQAll(t *testing.T) {
 		}
 		defer srv.Close()
 	}
-	c := NewClient(net)
+	c := pooled(t, NewPooledClient(net))
 	replies, err := c.PullFirstQ(context.Background(), peers, 3,
 		Request{Kind: KindGetGradient, Vec: tensor.Vector{1}})
 	if err != nil {
@@ -241,7 +241,7 @@ func TestPullFirstQToleratesSlowPeer(t *testing.T) {
 	}
 	net.SetDelay("w3", time.Hour) // w3 is an unbounded straggler
 
-	c := NewClient(net)
+	c := pooled(t, NewPooledClient(net))
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	start := time.Now()
@@ -276,7 +276,7 @@ func TestPullFirstQToleratesCrashedPeer(t *testing.T) {
 	}
 	net.Crash("w2")
 
-	c := NewClient(net)
+	c := pooled(t, NewPooledClient(net))
 	replies, err := c.PullFirstQ(context.Background(), peers, 2,
 		Request{Kind: KindGetGradient, Vec: tensor.Vector{1}})
 	if err != nil {
@@ -301,7 +301,7 @@ func TestPullFirstQQuorumFailure(t *testing.T) {
 	net.Crash("w1")
 	net.Crash("w2")
 
-	c := NewClient(net)
+	c := pooled(t, NewPooledClient(net))
 	_, err := c.PullFirstQ(context.Background(), peers, 2,
 		Request{Kind: KindGetGradient, Vec: tensor.Vector{1}})
 	if !errors.Is(err, ErrQuorum) {
@@ -310,7 +310,7 @@ func TestPullFirstQQuorumFailure(t *testing.T) {
 }
 
 func TestPullFirstQInvalidQuorum(t *testing.T) {
-	c := NewClient(transport.NewMem())
+	c := pooled(t, NewPooledClient(transport.NewMem()))
 	if _, err := c.PullFirstQ(context.Background(), []string{"a"}, 0, Request{}); err == nil {
 		t.Fatal("expected error for q=0")
 	}
@@ -329,7 +329,7 @@ func TestPullFirstQDeadline(t *testing.T) {
 	defer srv.Close()
 	net.SetDelay("w1", time.Hour)
 
-	c := NewClient(net)
+	c := pooled(t, NewPooledClient(net))
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	_, err = c.PullFirstQ(ctx, []string{"w1"}, 1,
@@ -367,7 +367,7 @@ func TestPullFirstQCancelsStragglers(t *testing.T) {
 	}
 	defer s3.Close()
 
-	c := NewClient(net)
+	c := pooled(t, NewPooledClient(net))
 	start := time.Now()
 	replies, err := c.PullFirstQ(context.Background(), []string{"fast1", "fast2", "slow"}, 2,
 		Request{Kind: KindPing})
@@ -404,7 +404,7 @@ func TestConcurrentCalls(t *testing.T) {
 	}
 	defer srv.Close()
 
-	c := NewClient(net)
+	c := pooled(t, NewPooledClient(net))
 	const calls = 50
 	errCh := make(chan error, calls)
 	for i := 0; i < calls; i++ {
@@ -434,7 +434,7 @@ func TestCallOverTCP(t *testing.T) {
 	}
 	defer srv.Close()
 
-	c := NewClient(net)
+	c := pooled(t, NewPooledClient(net))
 	out, err := c.Call(context.Background(), srv.Addr(),
 		Request{Kind: KindGetGradient, Vec: tensor.Vector{21}})
 	if err != nil {

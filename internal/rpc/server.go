@@ -126,21 +126,30 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 		_ = conn.Close()
 	}()
-	// The request struct, its payload vector and the frame buffers are all
-	// reused across the connection's requests: a steady-state pull loop
-	// costs the server no per-request allocation beyond what the handler
-	// itself does.
-	var req Request
-	var spareVec tensor.Vector
+	// The request struct, its payload vector and the frame buffer all belong
+	// to this connection and are reused across its requests: a steady-state
+	// pull loop costs the server no per-request allocation beyond what the
+	// handler itself does. One buffer serves both directions — a request's
+	// bytes are dead once it is decoded, so the response is encoded over them.
+	var (
+		req      Request
+		spareVec tensor.Vector
+		frames   frameReader
+	)
+	send := func(resp Response) error {
+		frames.buf = responseFrame(frames.buf, resp)
+		_, err := conn.Write(frames.buf)
+		return err
+	}
 	for {
-		payload, err := readFramePooled(conn)
+		payload, err := frames.next(conn)
 		if err != nil {
 			if errors.Is(err, ErrChecksum) {
 				// The frame arrived corrupted but fully framed: the
 				// stream is positioned at the next frame boundary, so
 				// decline the request and keep serving rather than
 				// punishing the caller for a mangling network.
-				if werr := writeResponseFrame(conn, Response{}); werr != nil {
+				if send(Response{}) != nil {
 					return
 				}
 				continue
@@ -150,8 +159,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		if req.Vec == nil {
 			req.Vec = spareVec
 		}
-		spare, err := decodeRequestInto(&req, *payload)
-		putBuf(payload)
+		spare, err := decodeRequestInto(&req, payload)
 		if spare != nil {
 			spareVec = spare
 		}
@@ -160,7 +168,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			// answer not-OK rather than tearing the conn down so
 			// honest retries on the same connection still work.
 			req = Request{}
-			if werr := writeResponseFrame(conn, Response{}); werr != nil {
+			if send(Response{}) != nil {
 				return
 			}
 			continue
@@ -171,7 +179,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		// stamps. The decline paths above deliberately send a zero echo —
 		// an "anonymous decline" for requests the server could not read.
 		resp.EchoKind, resp.EchoStep = req.Kind, req.Step
-		err = writeResponseFrame(conn, resp)
+		err = send(resp)
 		// The frame has been copied out: hand back what the handler borrowed
 		// for it (see Handler).
 		if resp.FreePayload {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sync"
 	"sync/atomic"
 
 	"garfield/internal/compress"
@@ -123,7 +122,7 @@ type Response struct {
 	// encoder when Enc != EncFP64.
 	Vec tensor.Vector
 	// Payload is the pre-compressed reply body when Enc != EncFP64. On the
-	// decode side it is never populated: decodeResponse decompresses
+	// decode side it is never populated: decodeResponseInto decompresses
 	// straight into Vec, so the protocol layer only ever sees vectors.
 	Payload []byte
 	// FreePayload tells the serving loop that Payload was borrowed from
@@ -171,30 +170,6 @@ var checksumRejects atomic.Uint64
 // for payload checksum mismatch.
 func ChecksumRejects() uint64 { return checksumRejects.Load() }
 
-// bufPool recycles wire buffers across calls and connections — the paper's
-// Section 4.4 memory-management optimization applied to the RPC layer. Both
-// the framed-send and framed-receive paths borrow from it, so a steady-state
-// pull loop stops allocating per-message byte slices entirely.
-var bufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 4096)
-		return &b
-	},
-}
-
-// getBuf borrows a buffer of length n from the pool.
-func getBuf(n int) *[]byte {
-	p := bufPool.Get().(*[]byte)
-	if cap(*p) < n {
-		*p = make([]byte, n)
-	}
-	*p = (*p)[:n]
-	return p
-}
-
-// putBuf returns a borrowed buffer to the pool.
-func putBuf(p *[]byte) { bufPool.Put(p) }
-
 // The frame layout is a 4-byte little-endian length prefix followed by the
 // frame body: a 4-byte CRC-32C of the payload, then the payload itself. The
 // length counts the body (checksum word included), so the stream remains
@@ -204,103 +179,81 @@ func putBuf(p *[]byte) { bufPool.Put(p) }
 // with ErrChecksum; a network that flips body bytes (the chaos corrupt
 // program, or a real mangling middlebox) therefore cannot silently feed
 // garbage into model or gradient aggregation.
+//
+// Wire buffers belong to whoever owns the stream or the message, never to a
+// shared pool: each end of a connection keeps a frameReader (the serving end
+// encodes its response over the same buffer), a client the request frame of
+// each pull in flight (see fanout). Each grows to its owner's largest message
+// and is reused as is.
 const frameHeaderSize = 8 // length prefix + checksum word
 
-// putFrameHeader writes the length prefix and checksum word for payload into
-// b[:frameHeaderSize].
-func putFrameHeader(b, payload []byte) {
-	binary.LittleEndian.PutUint32(b, uint32(4+len(payload)))
-	binary.LittleEndian.PutUint32(b[4:], crc32.Checksum(payload, castagnoli))
+// resized returns buf at length n, reusing its capacity when it suffices
+// (contents unspecified).
+func resized(buf []byte, n int) []byte {
+	if cap(buf) < n {
+		return make([]byte, n)
+	}
+	return buf[:n]
 }
 
-// writeFrame writes a checksummed, length-prefixed payload.
-func writeFrame(w io.Writer, payload []byte) error {
-	p := getBuf(frameHeaderSize + len(payload))
-	b := *p
-	copy(b[frameHeaderSize:], payload)
-	putFrameHeader(b, b[frameHeaderSize:])
-	_, err := w.Write(b)
-	putBuf(p)
-	return err
+// sealFrame writes the length prefix and checksum word of a frame whose
+// payload is already in place behind them.
+func sealFrame(frame []byte) {
+	payload := frame[frameHeaderSize:]
+	binary.LittleEndian.PutUint32(frame, uint32(4+len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, castagnoli))
 }
 
-// writeRequestFrame encodes req and its frame header into one pooled buffer
-// and writes it with a single Write call (one syscall / pipe handoff per
-// message instead of two, and no per-message allocation).
-func writeRequestFrame(w io.Writer, req Request) error {
-	size := encodedRequestSize(req)
-	p := getBuf(frameHeaderSize + size)
-	b := *p
-	encodeRequestTo(b[frameHeaderSize:], req)
-	putFrameHeader(b, b[frameHeaderSize:])
-	_, err := w.Write(b)
-	putBuf(p)
-	return err
+// requestFrame encodes req and its frame header over buf and returns the
+// frame: one Write (one syscall / pipe handoff) puts the message on the wire,
+// and the same bytes can be written to any number of peers.
+func requestFrame(buf []byte, req Request) []byte {
+	frame := resized(buf, frameHeaderSize+encodedRequestSize(req))
+	encodeRequestTo(frame[frameHeaderSize:], req)
+	sealFrame(frame)
+	return frame
 }
 
-// writeResponseFrame is writeRequestFrame for responses.
-func writeResponseFrame(w io.Writer, resp Response) error {
-	size := encodedResponseSize(resp)
-	p := getBuf(frameHeaderSize + size)
-	b := *p
-	encodeResponseTo(b[frameHeaderSize:], resp)
-	putFrameHeader(b, b[frameHeaderSize:])
-	_, err := w.Write(b)
-	putBuf(p)
-	return err
+// responseFrame is requestFrame for responses.
+func responseFrame(buf []byte, resp Response) []byte {
+	frame := resized(buf, frameHeaderSize+encodedResponseSize(resp))
+	encodeResponseTo(frame[frameHeaderSize:], resp)
+	sealFrame(frame)
+	return frame
 }
 
-// readFrame reads a checksummed frame's payload into a fresh slice.
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [frameHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// frameReader is the read side of one stream. Its header scratch and payload
+// buffer live as long as the stream's owner keeps it, so reading a frame
+// allocates only when the frame is larger than any before it.
+type frameReader struct {
+	hdr [frameHeaderSize]byte
+	buf []byte
+}
+
+// next reads one checksummed frame from r and returns its payload — a view of
+// the reader's buffer, valid until the following call. A checksum mismatch
+// consumes the whole frame (the stream stays positioned at the next frame
+// boundary) and returns ErrChecksum.
+func (fr *frameReader) next(r io.Reader) ([]byte, error) {
+	if _, err := io.ReadFull(r, fr.hdr[:]); err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:4])
+	n := binary.LittleEndian.Uint32(fr.hdr[:4])
 	if n > maxFrame {
 		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
 	if n < 4 {
 		return nil, fmt.Errorf("%w: frame body of %d bytes", ErrMalformed, n)
 	}
-	payload := make([]byte, n-4)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	fr.buf = resized(fr.buf, int(n-4))
+	if _, err := io.ReadFull(r, fr.buf); err != nil {
 		return nil, err
 	}
-	if sum := crc32.Checksum(payload, castagnoli); sum != binary.LittleEndian.Uint32(hdr[4:]) {
+	if sum := crc32.Checksum(fr.buf, castagnoli); sum != binary.LittleEndian.Uint32(fr.hdr[4:]) {
 		checksumRejects.Add(1)
 		return nil, fmt.Errorf("%w: %d-byte payload", ErrChecksum, n-4)
 	}
-	return payload, nil
-}
-
-// readFramePooled reads a checksummed frame's payload into a pooled buffer.
-// The caller must release the returned buffer with putBuf once the payload
-// has been decoded. A checksum mismatch consumes the whole frame (the stream
-// stays positioned at the next frame boundary) and returns ErrChecksum.
-func readFramePooled(r io.Reader) (*[]byte, error) {
-	var hdr [frameHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:4])
-	if n > maxFrame {
-		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
-	}
-	if n < 4 {
-		return nil, fmt.Errorf("%w: frame body of %d bytes", ErrMalformed, n)
-	}
-	p := getBuf(int(n - 4))
-	if _, err := io.ReadFull(r, *p); err != nil {
-		putBuf(p)
-		return nil, err
-	}
-	if sum := crc32.Checksum(*p, castagnoli); sum != binary.LittleEndian.Uint32(hdr[4:]) {
-		putBuf(p)
-		checksumRejects.Add(1)
-		return nil, fmt.Errorf("%w: %d-byte payload", ErrChecksum, n-4)
-	}
-	return p, nil
+	return fr.buf, nil
 }
 
 // fromLen bounds the encoded caller identity to one length byte, truncating
@@ -345,14 +298,7 @@ func encodeRequestTo(buf []byte, r Request) {
 	}
 }
 
-// encodeRequest serializes r into a fresh slice.
-func encodeRequest(r Request) []byte {
-	buf := make([]byte, encodedRequestSize(r))
-	encodeRequestTo(buf, r)
-	return buf
-}
-
-// decodeRequestInto parses the output of encodeRequest into req, reusing
+// decodeRequestInto parses the output of encodeRequestTo into req, reusing
 // req.Vec's backing array when its capacity suffices. On requests without a
 // payload req.Vec is nil; the previous buffer is handed back in spare so the
 // caller can keep it for the next request.
@@ -373,7 +319,11 @@ func decodeRequestInto(req *Request, b []byte) (spare tensor.Vector, err error) 
 	if len(b) < reqFixedSize+2+n {
 		return req.Vec, fmt.Errorf("%w: request of %d bytes, from of %d", ErrMalformed, len(b), n)
 	}
-	req.From = string(b[reqFixedSize+1 : reqFixedSize+1+n])
+	// A connection's requests nearly always come from one caller: keep the
+	// string when the bytes repeat (the comparison does not allocate).
+	if from := b[reqFixedSize+1 : reqFixedSize+1+n]; req.From != string(from) {
+		req.From = string(from)
+	}
 	if b[reqFixedSize+1+n] != 1 {
 		spare = req.Vec
 		req.Vec = nil
@@ -383,15 +333,6 @@ func decodeRequestInto(req *Request, b []byte) (spare tensor.Vector, err error) 
 		return req.Vec, fmt.Errorf("%w: %v", ErrMalformed, err)
 	}
 	return nil, nil
-}
-
-// decodeRequest parses the output of encodeRequest.
-func decodeRequest(b []byte) (Request, error) {
-	var req Request
-	if _, err := decodeRequestInto(&req, b); err != nil {
-		return Request{}, err
-	}
-	return req, nil
 }
 
 // respHeaderSize is the fixed response prefix: ok(1) echoKind(1)
@@ -438,13 +379,6 @@ func encodeResponseTo(buf []byte, r Response) {
 	}
 }
 
-// encodeResponse serializes r into a fresh slice.
-func encodeResponse(r Response) []byte {
-	buf := make([]byte, encodedResponseSize(r))
-	encodeResponseTo(buf, r)
-	return buf
-}
-
 // ErrBadEncoding is returned for a reply whose payload-encoding byte names
 // a codec this build does not know. It is rejected, never guessed at: the
 // byte is integrity-protected by the frame checksum, so an unknown value
@@ -452,24 +386,21 @@ func encodeResponse(r Response) []byte {
 // codec would be silent poisoning.
 var ErrBadEncoding = errors.New("rpc: unknown payload encoding")
 
-// decodeResponse parses the output of encodeResponse, decompressing a
+// decodeResponseInto parses the output of encodeResponseTo, decompressing a
 // non-passthrough payload into Vec — the protocol layer above only ever
 // sees plain vectors, whatever travelled on the wire. dimBound caps the
 // dimension a compressed payload may claim (see replyDimBound): the sparse
 // codec's payload does not grow with the dimension, so without the bound a
 // Byzantine peer's twenty-byte reply could demand a multi-gigabyte output
 // allocation.
-func decodeResponse(b []byte, dimBound int) (Response, error) {
-	return decodeResponseInto(nil, b, dimBound)
-}
-
-// decodeResponseInto is decodeResponse fused with a caller-owned
-// destination: with a non-nil dst the reply vector decodes in place over
-// dst's backing array (grown only when capacity falls short — both the
-// compressed decoders and the fp64 unmarshal reuse capacity), and *dst is
-// re-pointed at the result so the capacity survives for the next round even
-// after growth. The steady state of a pull loop therefore decodes every
-// reply with zero vector allocations, whatever codec is on the wire.
+//
+// With a non-nil dst the reply vector decodes in place over dst's backing
+// array (grown only when capacity falls short — both the compressed decoders
+// and the fp64 unmarshal reuse capacity), and *dst is re-pointed at the
+// result so the capacity survives for the next round even after growth. The
+// steady state of a pull loop therefore decodes every reply with zero vector
+// allocations, whatever codec is on the wire. A nil dst decodes into a fresh
+// vector.
 func decodeResponseInto(dst *tensor.Vector, b []byte, dimBound int) (Response, error) {
 	if len(b) < respHeaderSize {
 		return Response{}, fmt.Errorf("%w: response of %d bytes", ErrMalformed, len(b))
@@ -516,7 +447,7 @@ func decodeResponseInto(dst *tensor.Vector, b []byte, dimBound int) (Response, e
 // plausibly exceed that width; a gradient pull folds the model into the
 // request, so its reply cannot exceed that dimension; calls without either
 // fall back to the global compress.MaxDim backstop.
-func replyDimBound(req Request) int {
+func replyDimBound(req *Request) int {
 	if req.Ranged() {
 		return int(req.Hi - req.Lo)
 	}

@@ -54,12 +54,15 @@ func (r *RNG) Norm() float64 {
 }
 
 // Perm returns a random permutation of [0, n) (Fisher–Yates).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
+func (r *RNG) Perm(n int) []int { return r.PermInto(make([]int, n)) }
+
+// PermInto is Perm(len(p)) written over p: the same draws, the same
+// permutation, no allocation.
+func (r *RNG) PermInto(p []int) []int {
 	for i := range p {
 		p[i] = i
 	}
-	for i := n - 1; i > 0; i-- {
+	for i := len(p) - 1; i > 0; i-- {
 		j := r.Intn(i + 1)
 		p[i], p[j] = p[j], p[i]
 	}
