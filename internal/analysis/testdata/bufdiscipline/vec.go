@@ -79,8 +79,8 @@ func okScratch(xs []float64) float64 {
 	return s
 }
 
-// Stored into a struct that is not a reply: an ordinary transfer (the
-// deterministic-mode per-step cache, which the collector takes).
+// Stored into a struct that is not a reply: an ordinary transfer (a cache
+// keeping the vector, as the reply memo keeps its estimate).
 func okCached(n int) cache {
 	v := GetVec(n)
 	return cache{vec: v}

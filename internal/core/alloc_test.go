@@ -136,3 +136,86 @@ func TestRoundFixedCostIndependentOfWorkers(t *testing.T) {
 		t.Fatalf("a round's object count grows with the fleet: %.2f at nw = 5, %.2f at nw = 17", few, many)
 	}
 }
+
+// msmwAllocConfig is allocConfig replicated the way the msmw_mlp100k
+// benchmark workload is: nw = 9 of which 2 Byzantine, nps = 4 of which 1
+// Byzantine, both attacks live, first-q quorums on the in-memory transport.
+func msmwAllocConfig(t *testing.T) core.Config {
+	cfg := allocConfig(t)
+	cfg.NW, cfg.FW, cfg.NPS, cfg.FPS = 9, 2, 4, 1
+	cfg.ServerAttack = attack.Reversed{Factor: -100}
+	return cfg
+}
+
+// TestMSMWRoundFixedCost is the allocation lock on the replicated round: a
+// benchmark-shaped run of five RunMSMW calls of ten rounds each leaves at most
+// 35 objects and less than one d-sized vector of bytes per round behind —
+// every call's own fixed cost included, so the aggregators, the reply lists
+// and the round's fan-out must all outlive a call, and the workers' replies
+// and the Byzantine server's must all come back to the pools.
+func TestMSMWRoundFixedCost(t *testing.T) {
+	if testutil.RaceBuild() {
+		t.Skip("the race detector allocates on its own account")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	cfg := msmwAllocConfig(t)
+	c, err := core.NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	run := func() {
+		if _, err := c.RunMSMW(core.RunOptions{Iterations: 10}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // dials, sizes every buffer and aggregator
+	const calls, rounds = 5, 5 * 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	objects := float64(after.Mallocs-before.Mallocs) / rounds
+	bytes := (after.TotalAlloc - before.TotalAlloc) / rounds
+	vector := uint64(8 * cfg.Arch.Dim())
+	t.Logf("%.2f objects, %d B per round; one vector is %d B", objects, bytes, vector)
+	if objects > 35 {
+		t.Errorf("a replicated round allocates %.2f objects, want <= 35", objects)
+	}
+	if bytes >= vector {
+		t.Errorf("a replicated round allocates %d B, want less than one d-sized vector (%d B)", bytes, vector)
+	}
+}
+
+// TestRunCallsReuseAggregators: a second Run* call aggregates with the very
+// Aggregators the first one built, for every driven replica.
+func TestRunCallsReuseAggregators(t *testing.T) {
+	c, err := core.NewCluster(msmwAllocConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.RunMSMW(core.RunOptions{Iterations: 2}); err != nil {
+		t.Fatal(err)
+	}
+	honest := c.Roster().HonestServers()
+	type pair struct{ grad, model *core.Aggregator }
+	first := make([]pair, len(honest))
+	for k, r := range honest {
+		g, m := c.CachedAggregators(r)
+		if g == nil || m == nil {
+			t.Fatalf("replica %d: no aggregators cached after a run", r)
+		}
+		first[k] = pair{g, m}
+	}
+	if _, err := c.RunMSMW(core.RunOptions{Iterations: 2}); err != nil {
+		t.Fatal(err)
+	}
+	for k, r := range honest {
+		if g, m := c.CachedAggregators(r); g != first[k].grad || m != first[k].model {
+			t.Errorf("replica %d: the second run built new aggregators", r)
+		}
+	}
+}

@@ -211,10 +211,11 @@ func (g *gradQueues) dropCount() int {
 }
 
 // asyncFetch is one worker's fetcher loop: snapshot the replica's model,
-// pull a gradient estimate against it, tag it with the snapshot step and
-// enqueue. Failures (a crashed worker, an omitted Byzantine reply) back off
-// and retry — in the async regime a missing worker costs freshness, never
-// progress. The worker's address is resolved at spawn time: a fetcher
+// pull a gradient estimate against it, tag it with the snapshot step,
+// enqueue, and wait for the model to step (the worker's memo would serve a
+// re-pull the same estimate). Failures (a crashed worker, an omitted
+// Byzantine reply) back off and retry — a missing worker costs freshness,
+// never progress. The worker's address is resolved at spawn time: a fetcher
 // belongs to one roster binding and is cancelled, not retargeted, when the
 // worker departs.
 func (c *Cluster) asyncFetch(ctx context.Context, s *Server, queues *gradQueues, w int, addr string) {
@@ -241,6 +242,9 @@ func (c *Cluster) asyncFetch(ctx context.Context, s *Server, queues *gradQueues,
 		}
 		backoff = time.Millisecond
 		queues.push(w, taggedGrad{vec: vec, step: step})
+		for ctx.Err() == nil && s.Step() == step {
+			c.clock.Sleep(50 * time.Microsecond)
+		}
 	}
 }
 
@@ -284,8 +288,8 @@ func (c *Cluster) RunAsyncSSMW(opt RunOptions) (*Result, error) {
 	res := newResult("async-ssmw")
 	start := c.clock.Now()
 	wire0 := c.WireStats()
-	s := c.Server(c.Roster().Servers[0])
-	if err := c.asyncReplicaLoop(res, s, false, opt, start, true); err != nil {
+	slot := c.Roster().Servers[0]
+	if err := c.asyncReplicaLoop(res, slot, false, opt, start, true); err != nil {
 		return nil, fmt.Errorf("core: async-ssmw: %w", err)
 	}
 	res.WallTime = c.clock.Now().Sub(start)
@@ -319,11 +323,10 @@ func (c *Cluster) RunAsyncMSMW(opt RunOptions) (*Result, error) {
 	var wg sync.WaitGroup
 	errs := make([]error, len(honest))
 	for k, r := range honest {
-		k, s := k, c.Server(r)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[k] = c.asyncReplicaLoop(res, s, true, opt, start, k == 0)
+			errs[k] = c.asyncReplicaLoop(res, r, true, opt, start, k == 0)
 		}()
 	}
 	wg.Wait()
@@ -337,7 +340,7 @@ func (c *Cluster) RunAsyncMSMW(opt RunOptions) (*Result, error) {
 	return res, nil
 }
 
-// asyncReplicaLoop drives one replica's bounded-staleness training loop:
+// asyncReplicaLoop drives replica slot's bounded-staleness training loop:
 // fetchers feed the queues, each iteration collects a fresh quorum, damps,
 // aggregates and updates, and (with contract set) every ModelAggEvery
 // updates the replica contracts toward its peers by pulling and
@@ -346,8 +349,9 @@ func (c *Cluster) RunAsyncMSMW(opt RunOptions) (*Result, error) {
 // cancelled and their queues dropped, joiners get fresh fetchers, and the
 // quorums and aggregator shapes follow the new fleet. Only the recording
 // replica writes into res.
-func (c *Cluster) asyncReplicaLoop(res *Result, s *Server, contract bool, opt RunOptions, start time.Time, record bool) error {
+func (c *Cluster) asyncReplicaLoop(res *Result, slot int, contract bool, opt RunOptions, start time.Time, record bool) error {
 	cfg := c.cfg
+	s := c.Server(slot)
 	tau, damping := cfg.asyncParams()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -373,7 +377,6 @@ func (c *Cluster) asyncReplicaLoop(res *Result, s *Server, contract bool, opt Ru
 		spawn(w, ro.WorkerAddrs[k])
 	}
 
-	var gradAggs, modelAggs aggCache
 	var bd *metrics.Breakdown // nil records nothing
 	if record {
 		bd = res.Breakdown
@@ -400,7 +403,7 @@ func (c *Cluster) asyncReplicaLoop(res *Result, s *Server, contract bool, opt Ru
 			}
 		}
 		q := ro.NW() - ro.FW
-		ga, err := gradAggs.get(0, cfg.Rule, q, ro.FW)
+		ga, err := c.gradAggs.get(slot, cfg.Rule, q, ro.FW)
 		if err != nil {
 			return fmt.Errorf("async iteration %d: %w", i, err)
 		}
@@ -423,7 +426,7 @@ func (c *Cluster) asyncReplicaLoop(res *Result, s *Server, contract bool, opt Ru
 		}
 		if contract && (i+1)%cfg.ModelAggEvery == 0 {
 			qps := ro.NPS() - ro.FPS
-			ma, err := modelAggs.get(0, cfg.ModelRule, qps, ro.FPS)
+			ma, err := c.modelAggs.get(slot, cfg.ModelRule, qps, ro.FPS)
 			if err != nil {
 				return fmt.Errorf("async iteration %d: %w", i, err)
 			}
@@ -493,7 +496,7 @@ func (c *Cluster) runAsyncSSMWReplay(opt RunOptions) (*Result, error) {
 	ro := c.Roster()
 	q := ro.NW() - ro.FW
 	tau, damping := cfg.asyncParams()
-	agg, err := NewAggregator(cfg.Rule, q, ro.FW)
+	agg, err := c.gradAggs.get(ro.Servers[0], cfg.Rule, q, ro.FW)
 	if err != nil {
 		return nil, fmt.Errorf("core: async-ssmw: %w", err)
 	}

@@ -145,12 +145,7 @@ func (b *ByzantineServer) Handle(req rpc.Request) rpc.Response {
 		return resp
 	}
 	// The wrapped server gives its reply vector away (FreeVec), so it is
-	// corrupted in place. The exception is a deterministic-mode cached reply,
-	// shared by every puller of the step: that one is corrupted in a borrowed
-	// copy.
-	if !resp.FreeVec {
-		resp.Vec, resp.FreeVec = borrowCopy(resp.Vec), true
-	}
+	// corrupted in place.
 	v := resp.Vec
 	switch mode {
 	case ByzModeRandom:

@@ -61,11 +61,11 @@ func (s *Server) SaveCheckpoint(w io.Writer) error {
 // checkpointed model must match the server's architecture dimension, and the
 // checksum trailer must verify — a truncated payload that happens to still
 // decode is rejected. On success every piece of derived state is reset along
-// with the model: the latest aggregated gradient and the deterministic
-// per-step reply cache belong to the pre-restore timeline (serving them
-// after recovery would hand peers state from a future the restored server
-// has rolled back), and the optimizer's momentum velocity is cleared with
-// its learning-rate schedule re-anchored at the checkpointed step.
+// with the model (ResetDerived): it belongs to the pre-restore timeline
+// (serving it after recovery would hand peers state from a future the
+// restored server has rolled back), and the optimizer's momentum velocity is
+// cleared with its learning-rate schedule re-anchored at the checkpointed
+// step.
 func (s *Server) LoadCheckpoint(r io.Reader) error {
 	var hdr [12]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -104,11 +104,8 @@ func (s *Server) LoadCheckpoint(r io.Reader) error {
 	s.mu.Lock()
 	s.params = params
 	s.currentStep = step
-	s.latestAggr = nil
 	s.opt.ResetTo(int(step))
 	s.mu.Unlock()
-	s.detMu.Lock()
-	s.detHas, s.detOK, s.detVec = false, false, nil
-	s.detMu.Unlock()
+	s.ResetDerived()
 	return nil
 }

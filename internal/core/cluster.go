@@ -131,15 +131,13 @@ type Config struct {
 	PullTimeout time.Duration
 
 	// Deterministic makes runs bit-identical across repetitions at the
-	// same seed, at the cost of extra synchronization: workers compute one
-	// gradient estimate per step and serve it to every puller (the
-	// paper's broadcast semantics) instead of drawing a fresh mini-batch
-	// per pull, servers aggregate pulled vectors in canonical (address)
-	// order instead of arrival order, and rounds run phase by phase in
-	// replica order on one goroutine (round.run). Replicated topologies
-	// additionally need SyncQuorum (with q < n the responding subset itself
-	// depends on timing) and an order-insensitive ModelRule such as median.
-	// Used by the scenario sweep runner.
+	// same seed: rounds run phase by phase in replica order on one goroutine
+	// (round.run), and RunAsyncSSMW runs its seeded replay. (Every mode
+	// serves one gradient per worker per (step, params) and aggregates in
+	// address order.) Replicated topologies additionally need SyncQuorum
+	// (with q < n the responding subset itself depends on timing) and an
+	// order-insensitive ModelRule such as median. Used by the scenario sweep
+	// runner.
 	Deterministic bool
 }
 
@@ -280,6 +278,12 @@ type Cluster struct {
 
 	initParams tensor.Vector
 	encoding   compress.Encoding // cfg.Compression, parsed once
+
+	// What the protocol runners keep across Run* calls: the aggregators per
+	// replica slot (gradients; models and the sharded root round) and per
+	// shard (sharded parts), and the lockstep steppers (Cluster.stepper).
+	gradAggs, modelAggs, partAggs aggCache
+	steppers                      map[string]Stepper
 }
 
 // NewCluster shards the data, spawns nw worker nodes and nps server
@@ -320,6 +324,7 @@ func NewClusterWith(cfg Config, wiring Wiring) (*Cluster, error) {
 		wiring:    wiring,
 		clock:     wiring.Clock(),
 		severBase: make(map[string]uint64),
+		steppers:  make(map[string]Stepper),
 	}
 	if lw, ok := wiring.(liveWiring); ok {
 		c.net = lw.net
@@ -363,18 +368,15 @@ func NewClusterWith(cfg Config, wiring Wiring) (*Cluster, error) {
 }
 
 // addWorker builds the next worker slot over shard with the deployment's
-// options (momentum, deterministic replies, codec, clock), serves it and
-// appends it to the node tables. The construction-time fleet and mid-run
-// joiners (honest: nil attack, byz false) are built here alike; the slot
-// index fixes the address and the sampler seed.
+// options (momentum, codec, clock), serves it and appends it to the node
+// tables. The construction-time fleet and mid-run joiners (honest: nil
+// attack, byz false) are built here alike; the slot index fixes the address
+// and the sampler seed.
 func (c *Cluster) addWorker(shard *data.Dataset, atk attack.Attack, byz bool) error {
 	cfg, idx := c.cfg, len(c.workers)
 	var opts []WorkerOption
 	if cfg.WorkerMomentum > 0 {
 		opts = append(opts, WithWorkerMomentum(cfg.WorkerMomentum))
-	}
-	if cfg.Deterministic {
-		opts = append(opts, WithDeterministicReplies())
 	}
 	if c.encoding != compress.EncFP64 {
 		// Every worker compresses — Byzantine ones included: the codec
@@ -431,15 +433,14 @@ func (c *Cluster) addServer(workers, peers []string, atk attack.Attack, byz bool
 		return err
 	}
 	s, err := NewServer(ServerConfig{
-		Arch:          cfg.Arch,
-		Init:          c.initParams,
-		Optimizer:     opt,
-		Client:        client,
-		Workers:       workers,
-		Peers:         peers,
-		Attack:        atk,
-		Deterministic: cfg.Deterministic,
-		Accept:        c.encoding,
+		Arch:      cfg.Arch,
+		Init:      c.initParams,
+		Optimizer: opt,
+		Client:    client,
+		Workers:   workers,
+		Peers:     peers,
+		Attack:    atk,
+		Accept:    c.encoding,
 	})
 	if err != nil {
 		return fail(err)
@@ -730,10 +731,9 @@ func (c *Cluster) ByzServer(i int) *ByzantineServer {
 // direct-dispatch caller ships no frames) contribute zero.
 func (c *Cluster) WireStats() rpc.WireStats {
 	c.memMu.RLock()
-	clients := append([]rpc.Caller(nil), c.clients...)
-	c.memMu.RUnlock()
+	defer c.memMu.RUnlock()
 	var s rpc.WireStats
-	for _, cl := range clients {
+	for _, cl := range c.clients {
 		if counted, ok := cl.(interface{ Stats() rpc.WireStats }); ok {
 			s = s.Add(counted.Stats())
 		}

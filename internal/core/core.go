@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"garfield/internal/gar"
 	"garfield/internal/tensor"
@@ -66,10 +67,11 @@ func (a *Aggregator) Aggregate(vs []tensor.Vector) (tensor.Vector, error) {
 // aggCache holds one Aggregator per slot — a replica or shard index, stable
 // across roster transitions — and rebuilds a slot only when the (rule, n, f)
 // shape asked of it changes, so steady-state rounds reuse the rule's arena
-// and output buffer. The zero value is ready. Like the Aggregators it hands
-// out, a cache belongs to one goroutine: runners resolve every slot before
-// they fan out.
+// and output buffer; on the Cluster, they outlive a Run* call. The zero value
+// is ready. get is safe for concurrent use (async replicas resolve their own
+// slots); an Aggregator is used by the one goroutine driving its slot.
 type aggCache struct {
+	mu    sync.Mutex
 	slots map[int]*aggSlot
 }
 
@@ -80,6 +82,8 @@ type aggSlot struct {
 }
 
 func (ac *aggCache) get(slot int, rule string, n, f int) (*Aggregator, error) {
+	ac.mu.Lock()
+	defer ac.mu.Unlock()
 	if e := ac.slots[slot]; e != nil && e.rule == rule && e.n == n && e.f == f {
 		return e.agg, nil
 	}

@@ -87,17 +87,16 @@ func TestDeterministicByzantineServerBitIdentical(t *testing.T) {
 	}
 }
 
-// TestDeterministicWorkerCachesPerStep: in deterministic mode, every
-// replica pulling the same step with the same parameters receives the same
-// gradient estimate — the paper's one-broadcast-per-step semantics.
+// TestDeterministicWorkerCachesPerStep: every replica pulling the same step
+// with the same parameters receives the same gradient estimate — the paper's
+// one-broadcast-per-step semantics, which the worker's memo gives every mode.
 func TestDeterministicWorkerCachesPerStep(t *testing.T) {
 	cfg := detConfig(t)
 	shards, err := data.PartitionIID(cfg.Train, 1, cfg.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := NewWorker(cfg.Arch, shards[0], cfg.BatchSize, cfg.Seed, nil,
-		WithDeterministicReplies())
+	w, err := NewWorker(cfg.Arch, shards[0], cfg.BatchSize, cfg.Seed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

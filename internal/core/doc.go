@@ -49,13 +49,12 @@
 // # Deterministic mode
 //
 // Config.Deterministic trades a little synchronization for bit-identical
-// runs at a fixed seed: workers compute one gradient estimate per step and
-// serve it to every puller (the paper's broadcast semantics), servers
-// aggregate pulled vectors in canonical peer order rather than arrival
-// order, and every round runs its phases sequentially in replica order on
-// one goroutine instead of fanning out (ARCHITECTURE.md, "Executing a
-// round") — the schedule the discrete-event simulator shares.
-// Replicated topologies additionally need SyncQuorum — with q < n the
-// responding subset itself is timing-dependent. The scenario sweep runner
-// uses this mode to make its artifacts reproducible byte for byte.
+// runs at a fixed seed: every round runs its phases sequentially in replica
+// order on one goroutine (ARCHITECTURE.md, "Executing a round") — the
+// schedule the discrete-event simulator shares — and RunAsyncSSMW runs its
+// seeded replay. Every mode already serves one gradient estimate per worker
+// per (step, params) to every puller (replyMemo, the paper's broadcast) and
+// aggregates in canonical peer order. Replicated topologies additionally
+// need SyncQuorum — with q < n the responding subset is timing-dependent.
+// The scenario sweep runner uses this mode for byte-identical artifacts.
 package core

@@ -86,6 +86,19 @@ func newResult(name string) *Result {
 	}
 }
 
+// stepper returns the cluster's stepper for the named topology, built on the
+// first Run* call that asks for it and kept — with its round's replica list,
+// runners and per-replica buffers — for every later call. A cluster runs one
+// lockstep Run* call at a time.
+func (c *Cluster) stepper(name string, build func() Stepper) Stepper {
+	st := c.steppers[name]
+	if st == nil {
+		st = build()
+		c.steppers[name] = st
+	}
+	return st
+}
+
 // recordAccuracy measures and records accuracy at iteration i when due.
 func (c *Cluster) recordAccuracy(res *Result, s *Server, opt RunOptions, i int, start time.Time) error {
 	if opt.AccEvery == 0 && i != opt.Iterations-1 {
@@ -127,8 +140,8 @@ func (c *Cluster) RunAggregaThor(opt RunOptions) (*Result, error) {
 // shared run loop with the topology's rule; robust rules budget for the
 // roster's declared-Byzantine workers, plain averaging for none.
 func (c *Cluster) runSingleServer(opt RunOptions, rule string, robust bool, name string) (*Result, error) {
-	res := newResult(name)
-	return c.driveSteps(res, newSingleServerStepper(c, res, rule, robust, name), opt)
+	st := c.stepper(name, func() Stepper { return newSingleServerStepper(c, rule, robust, name) })
+	return c.driveSteps(newResult(name), st, opt)
 }
 
 // RunCrashTolerant trains with the strawman crash-tolerant protocol of
@@ -141,8 +154,8 @@ func (c *Cluster) RunCrashTolerant(opt RunOptions) (*Result, error) {
 	if c.Servers() < 1 {
 		return nil, fmt.Errorf("%w: crash-tolerant needs server replicas", ErrConfig)
 	}
-	res := newResult("crash-tolerant")
-	return c.driveSteps(res, newCrashStepper(c, res), opt)
+	st := c.stepper("crash-tolerant", func() Stepper { return newCrashStepper(c) })
+	return c.driveSteps(newResult("crash-tolerant"), st, opt)
 }
 
 // RunMSMW trains the multi-server multi-worker application of Listing 2:
@@ -155,8 +168,8 @@ func (c *Cluster) RunMSMW(opt RunOptions) (*Result, error) {
 	if c.Roster().NPS() < 2 {
 		return nil, fmt.Errorf("%w: msmw needs at least 2 server replicas", ErrConfig)
 	}
-	res := newResult("msmw")
-	return c.driveSteps(res, newMSMWStepper(c, res), opt)
+	st := c.stepper("msmw", func() Stepper { return newMSMWStepper(c) })
+	return c.driveSteps(newResult("msmw"), st, opt)
 }
 
 // RunDecentralized trains the peer-to-peer application of Listing 3: every
@@ -170,6 +183,6 @@ func (c *Cluster) RunDecentralized(opt RunOptions) (*Result, error) {
 		return nil, fmt.Errorf("%w: decentralized needs nps == nw (one server+worker pair per node), got %d servers %d workers",
 			ErrConfig, c.Servers(), c.cfg.NW)
 	}
-	res := newResult("decentralized")
-	return c.driveSteps(res, newDecentralizedStepper(c, res), opt)
+	st := c.stepper("decentralized", func() Stepper { return newDecentralizedStepper(c) })
+	return c.driveSteps(newResult("decentralized"), st, opt)
 }

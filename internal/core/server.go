@@ -3,7 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"garfield/internal/attack"
@@ -31,17 +32,16 @@ type Server struct {
 	opt    *sgd.Optimizer
 	client rpc.Caller
 	atk    attack.Attack
-	det    bool
 
 	// arena holds the fused decode destinations for this server's pulls:
 	// peer i's reply decodes straight into slot i's reusable backing array
-	// (rpc.Caller.PullFirstQInto), so steady-state pulls allocate no
-	// per-reply vectors whatever codec is on the wire. Sharing one arena
-	// across gradient, model and aggregate pulls is safe because a server
-	// issues pulls one at a time and every protocol step aggregates a
-	// pull's replies — into the Aggregator's own scratch, which never
-	// aliases its inputs — before issuing the next pull.
-	arena *gar.ReplyArena
+	// (rpc.Caller.PullFirstQInto) and the replies into a reused list, so
+	// steady-state pulls allocate nothing whatever codec is on the wire.
+	// Sharing one arena across gradient, model and aggregate pulls is safe
+	// because a server issues pulls one at a time and every protocol step
+	// aggregates a pull's replies — into the Aggregator's own scratch, which
+	// never aliases its inputs — before issuing the next pull.
+	arena pullArena
 
 	// rosterMu guards the pull target lists, which the membership layer
 	// rebinds on every roster epoch transition (Cluster join/leave/scale).
@@ -74,16 +74,9 @@ type Server struct {
 	// the same reason: it is consumed before the server's next pull.
 	pulled []tensor.Vector
 
-	// Deterministic-mode reply cache for Byzantine servers: a stochastic
-	// attack draws once per (kind, step) and every puller of that step
-	// receives the same corrupted vector, mirroring the worker's
-	// per-step broadcast cache. Honest servers (attack.None) bypass it.
-	detMu   sync.Mutex
-	detKind rpc.Kind
-	detStep uint32
-	detHas  bool
-	detOK   bool
-	detVec  tensor.Vector
+	// memo is an attacked server's reply path: the attack runs once per
+	// (kind, step, served state), whoever pulls (see replyMemo).
+	memo replyMemo
 
 	// partMu guards the shard-part store of the sharded-aggregation
 	// protocol: the aggregated parts this replica owns for the current
@@ -94,6 +87,18 @@ type Server struct {
 	// reused across rounds (SetShardPart copies in place).
 	partMu sync.RWMutex
 	parts  map[uint16]*shardPart
+}
+
+// pullArena is a server's pull destinations: the per-peer reply vectors and
+// the reply list (rpc.ReplyListOwner), both reused from pull to pull.
+type pullArena struct {
+	*gar.ReplyArena
+	replies []rpc.Reply
+}
+
+func (a *pullArena) ReplyList(q int) []rpc.Reply {
+	a.replies = slices.Grow(a.replies[:0], q)
+	return a.replies
 }
 
 // shardPart is one owned aggregated part: the round it belongs to and its
@@ -119,9 +124,6 @@ type ServerConfig struct {
 	Peers   []string
 	// Attack, when non-nil, makes this a Byzantine server.
 	Attack attack.Attack
-	// Deterministic orders pulled reply sets canonically (by peer
-	// address) instead of by arrival; see Config.Deterministic.
-	Deterministic bool
 	// Accept is the payload encoding to advertise on gradient pulls
 	// (compress.EncFP64 requests plain passthrough replies).
 	Accept compress.Encoding
@@ -153,10 +155,9 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		workers: append([]string(nil), cfg.Workers...),
 		peers:   append([]string(nil), cfg.Peers...),
 		atk:     atk,
-		det:     cfg.Deterministic,
 		accept:  cfg.Accept,
 		params:  cfg.Init.Clone(),
-		arena:   gar.NewReplyArena(n),
+		arena:   pullArena{ReplyArena: gar.NewReplyArena(n)},
 	}, nil
 }
 
@@ -216,18 +217,18 @@ func (s *Server) SetPeers(peers []string) {
 }
 
 // ResetDerived clears the server's derived state — the published aggregated
-// gradient and the deterministic per-step reply cache — without touching the
-// model or the optimizer. Crash recovery goes through it: both pieces were
+// gradient, the reply memo and the owned shard parts — without touching the
+// model or the optimizer. Crash recovery goes through it: all three were
 // produced on the pre-crash timeline, and serving them after the replica
 // rejoins would hand peers vectors from rounds the rest of the fleet has
-// moved past (exactly what checkpoint restore resets, minus the rollback).
+// moved past (what checkpoint restore and AdoptState reset too).
 func (s *Server) ResetDerived() {
 	s.mu.Lock()
 	s.latestAggr = nil
 	s.mu.Unlock()
-	s.detMu.Lock()
-	s.detHas, s.detOK, s.detVec = false, false, nil
-	s.detMu.Unlock()
+	s.memo.mu.Lock()
+	s.memo.drop()
+	s.memo.mu.Unlock()
 	s.partMu.Lock()
 	s.parts = nil
 	s.partMu.Unlock()
@@ -238,9 +239,8 @@ func (s *Server) ResetDerived() {
 // replica bootstraps from the fleet's newest live model before rejoining
 // reassembly. Checkpoint-restore semantics minus the encoding: optimizer
 // schedule state realigns to the adopted step, and every piece of derived
-// state (published aggregate, deterministic reply cache, owned shard parts)
-// is dropped — it was produced on a timeline this replica no longer
-// inhabits.
+// state (published aggregate, reply memo, owned shard parts) is dropped — it
+// was produced on a timeline this replica no longer inhabits.
 func (s *Server) AdoptState(params tensor.Vector, step uint32) error {
 	if len(params) != s.arch.Dim() {
 		return fmt.Errorf("%w: adopt_state dim %d, model dim %d", ErrConfig, len(params), s.arch.Dim())
@@ -248,15 +248,9 @@ func (s *Server) AdoptState(params tensor.Vector, step uint32) error {
 	s.mu.Lock()
 	copy(s.params, params)
 	s.currentStep = step
-	s.latestAggr = nil
 	s.opt.ResetTo(int(step))
 	s.mu.Unlock()
-	s.detMu.Lock()
-	s.detHas, s.detOK, s.detVec = false, false, nil
-	s.detMu.Unlock()
-	s.partMu.Lock()
-	s.parts = nil
-	s.partMu.Unlock()
+	s.ResetDerived()
 	return nil
 }
 
@@ -275,7 +269,7 @@ type pullReq struct {
 // pull runs one quorum pull and returns the fastest q reply vectors, decoded
 // into the server's arena (they and the list are valid until its next pull).
 func (s *Server) pull(ctx context.Context, p pullReq) ([]tensor.Vector, error) {
-	replies, err := s.client.PullFirstQInto(ctx, p.peers, p.q, p.req, s.arena)
+	replies, err := s.client.PullFirstQInto(ctx, p.peers, p.q, p.req, &s.arena)
 	if err != nil {
 		return nil, fmt.Errorf("core: %s(step=%d, q=%d of %d): %w", p.what, p.req.Step, p.q, len(p.peers), err)
 	}
@@ -359,13 +353,11 @@ func (s *Server) aggrGradsReq(q int) pullReq {
 }
 
 // replyVectors extracts the pulled vectors. Replies arrive fastest-first;
-// in deterministic mode they are re-ordered canonically by peer address so
-// that aggregation input order — and with it the floating-point reduction
-// order of order-sensitive GARs — does not depend on scheduling.
+// they are re-ordered canonically by peer address so that aggregation input
+// order — and with it the floating-point reduction order of order-sensitive
+// GARs — does not depend on scheduling.
 func (s *Server) replyVectors(replies []rpc.Reply) []tensor.Vector {
-	if s.det {
-		sort.Slice(replies, func(i, j int) bool { return replies[i].From < replies[j].From })
-	}
+	slices.SortFunc(replies, func(a, b rpc.Reply) int { return strings.Compare(a.From, b.From) })
 	s.pulled = s.pulled[:0]
 	for _, r := range replies {
 		s.pulled = append(s.pulled, r.Vec)
@@ -508,42 +500,19 @@ func borrowCopy(src tensor.Vector) tensor.Vector {
 	return v
 }
 
-// serveVector answers with the owned vector v, through the attack.
+// serveVector answers with the owned vector v: as it is for an honest
+// server, through the memo for an attacked one, whose key v joins.
 func (s *Server) serveVector(req rpc.Request, v tensor.Vector) rpc.Response {
-	if _, honest := s.atk.(attack.None); s.det && !honest {
-		return s.serveVectorDeterministic(req, v)
+	if _, honest := s.atk.(attack.None); honest {
+		return rpc.Response{OK: true, Vec: v, FreeVec: true}
 	}
-	out, ok := applyAttack(s.atk, v, nil)
-	if !ok {
-		return rpc.Response{}
-	}
-	return rpc.Response{OK: true, Vec: out, FreeVec: true}
-}
-
-// serveVectorDeterministic serves Byzantine replies in deterministic mode:
-// the attack is applied once per (kind, step) — a stochastic attack draws
-// once — and every puller of that step receives the identical corrupted
-// vector. A Byzantine server's state is static (its training loop is not
-// driven), so the step alone keys the cache. With several Byzantine
-// replicas sharing one stochastic attack instance the draw interleaving
-// across replicas remains scheduling-dependent; deterministic runs use at
-// most one stochastic Byzantine server (fps <= 1), as the presets do.
-func (s *Server) serveVectorDeterministic(req rpc.Request, v tensor.Vector) rpc.Response {
-	s.detMu.Lock()
-	defer s.detMu.Unlock()
-	if s.detHas && s.detKind == req.Kind && s.detStep == req.Step {
+	m := &s.memo
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.lookup(req.Kind, req.Step, v) {
 		tensor.PutVec(v)
-		if !s.detOK {
-			return rpc.Response{}
-		}
-		return rpc.Response{OK: true, Vec: s.detVec}
+	} else {
+		m.keep(applyAttack(s.atk, v, nil))
 	}
-	s.detKind, s.detStep, s.detHas, s.detOK, s.detVec = req.Kind, req.Step, true, false, nil
-	out, ok := applyAttack(s.atk, v, nil)
-	if !ok {
-		return rpc.Response{} // omission, replayed for the step
-	}
-	// Shared by every puller of the step, so never given away (no FreeVec).
-	s.detOK, s.detVec = true, out
-	return rpc.Response{OK: true, Vec: out}
+	return m.serve(nil, 0, len(m.vec))
 }

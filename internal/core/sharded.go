@@ -55,12 +55,6 @@ type shardedStepper struct {
 	coord bool       // coordinate-wise rule: exact coordinate sharding
 	plan  shard.Plan // coordinate partition (coord mode only)
 
-	// Phase A aggregators, one per shard (the shard fixes the input shape:
-	// quorum width for coordinate-wise, group size for hierarchical). The
-	// Phase B root aggregators (hierarchical only) are the round's per-replica
-	// model aggregators.
-	partAggs aggCache
-
 	// Per-round plan, set at the top of Step: the roster, each shard's owner
 	// and aggregator, the worker groups (hierarchical), and the fleet's
 	// newest model step with the address of a replica holding it.
@@ -100,10 +94,28 @@ func (c *Cluster) RunSharded(opt RunOptions) (*Result, error) {
 		return nil, fmt.Errorf("%w: sharded reassembly trusts shard owners: fps must be 0 (crash faults only on the server tier), got %d",
 			ErrConfig, cfg.FPS)
 	}
-	res := newResult("sharded")
+	var plan shard.Plan
+	if gar.CoordinateWise(cfg.Rule) {
+		p, err := shard.NewPlan(cfg.Arch.Dim(), cfg.Shards)
+		if err != nil {
+			return nil, fmt.Errorf("%w: sharded: %v", ErrConfig, err)
+		}
+		plan = p
+	} else if _, err := shard.NewHierarchical(cfg.Rule, cfg.NW, cfg.FW, cfg.Shards); err != nil {
+		// Fast-fail the hierarchical shape: group floors and the root round's
+		// f=0 floor, validated exactly as the local aggregators will be built.
+		return nil, fmt.Errorf("%w: sharded: %v", ErrConfig, err)
+	}
+	st := c.stepper("sharded", func() Stepper { return newShardedStepper(c, plan) })
+	return c.driveSteps(newResult("sharded"), st, opt)
+}
+
+func newShardedStepper(c *Cluster, plan shard.Plan) *shardedStepper {
+	cfg := c.cfg
 	st := &shardedStepper{
-		round:   round{c: c, res: res, topology: "sharded"},
+		round:   round{c: c, topology: "sharded"},
 		coord:   gar.CoordinateWise(cfg.Rule),
+		plan:    plan,
 		owners:  make([]int, cfg.Shards),
 		aggs:    make([]*Aggregator, cfg.Shards),
 		scratch: make(map[int]tensor.Vector), winners: make(map[int][]tensor.Vector),
@@ -116,18 +128,7 @@ func (c *Cluster) RunSharded(opt RunOptions) (*Result, error) {
 		{{"assemble", st.assemble}},
 		{{"update", st.update}},
 	}
-	if st.coord {
-		plan, err := shard.NewPlan(cfg.Arch.Dim(), cfg.Shards)
-		if err != nil {
-			return nil, fmt.Errorf("%w: sharded: %v", ErrConfig, err)
-		}
-		st.plan = plan
-	} else if _, err := shard.NewHierarchical(cfg.Rule, cfg.NW, cfg.FW, cfg.Shards); err != nil {
-		// Fast-fail the hierarchical shape: group floors and the root round's
-		// f=0 floor, validated exactly as the local aggregators will be built.
-		return nil, fmt.Errorf("%w: sharded: %v", ErrConfig, err)
-	}
-	return c.driveSteps(res, st, opt)
+	return st
 }
 
 // ownerOf resolves shard k's owner: the preferred replica is roster slot
@@ -191,7 +192,7 @@ func (st *shardedStepper) Step(i int) (bool, error) {
 			glo, ghi := st.groups.Range(k)
 			n = ghi - glo
 		}
-		if st.aggs[k], err = st.partAggs.get(k, cfg.Rule, n, ro.FW); err != nil {
+		if st.aggs[k], err = c.partAggs.get(k, cfg.Rule, n, ro.FW); err != nil {
 			return false, fmt.Errorf("core: sharded: %w", err)
 		}
 	}
@@ -200,7 +201,7 @@ func (st *shardedStepper) Step(i int) (bool, error) {
 		r := &st.replicas[k]
 		st.scratch[r.idx] = tensor.Resize(st.scratch[r.idx], d)
 		if !st.coord {
-			if r.modelAgg, err = st.modelAggs.get(r.idx, cfg.Rule, cfg.Shards, rootF); err != nil {
+			if r.modelAgg, err = c.modelAggs.get(r.idx, cfg.Rule, cfg.Shards, rootF); err != nil {
 				return false, fmt.Errorf("core: sharded: %w", err)
 			}
 			if st.winners[r.idx] == nil {

@@ -26,6 +26,8 @@ type Stepper interface {
 	// Observed returns the replica the run's accuracy is measured at —
 	// valid after a successful Step.
 	Observed() *Server
+	// start makes res the result the next Steps record into.
+	start(res *Result)
 }
 
 // driveSteps is the engine-agnostic run loop shared by every lockstep
@@ -38,6 +40,7 @@ func (c *Cluster) driveSteps(res *Result, st Stepper, opt RunOptions) (*Result, 
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
+	st.start(res)
 	start := c.clock.Now()
 	wire0 := c.WireStats()
 	for i := 0; i < opt.Iterations; i++ {
@@ -101,14 +104,17 @@ type round struct {
 	// on their own schedule, with no stage boundary shared with this one.
 	partial bool
 
-	// Per-replica-slot aggregator caches behind bind.
-	gradAggs, modelAggs aggCache
-
-	wg   sync.WaitGroup
-	errs []error
+	// The concurrent fan-out of run: runners[k] runs stage at replica k,
+	// bound once per replica position so a stage starts without closures.
+	stage   []phase
+	runners []func()
+	wg      sync.WaitGroup
+	errs    []error
 }
 
 func (rd *round) Observed() *Server { return rd.replicas[0].s }
+
+func (rd *round) start(res *Result) { rd.res = res }
 
 // drive makes the given replica slots — those of them this process hosts —
 // the round's replica set.
@@ -130,8 +136,8 @@ func (rd *round) bind(rule string, fw int, modelRule string, fps int) error {
 	for k := range rd.replicas {
 		r := &rd.replicas[k]
 		var err error
-		if r.gradAgg, err = rd.gradAggs.get(r.idx, rule, rd.qw, fw); err == nil && modelRule != "" {
-			r.modelAgg, err = rd.modelAggs.get(r.idx, modelRule, rd.qps, fps)
+		if r.gradAgg, err = rd.c.gradAggs.get(r.idx, rule, rd.qw, fw); err == nil && modelRule != "" {
+			r.modelAgg, err = rd.c.modelAggs.get(r.idx, modelRule, rd.qps, fps)
 		}
 		if err != nil {
 			return fmt.Errorf("core: %s: %w", rd.topology, err)
@@ -169,19 +175,24 @@ func (rd *round) run(i int, stages [][]phase) error {
 		}
 		return nil
 	}
-	for _, stage := range stages {
-		rd.errs = append(rd.errs[:0], make([]error, len(rd.replicas))...)
-		for k := range rd.replicas {
-			rd.wg.Add(1)
-			go func(k int) {
-				defer rd.wg.Done()
-				for _, ph := range stage {
-					if err := ph.run(k); err != nil {
-						rd.errs[k] = rd.fail(k, ph, err)
-						return
-					}
+	for len(rd.runners) < len(rd.replicas) {
+		k := len(rd.runners)
+		rd.runners = append(rd.runners, func() {
+			defer rd.wg.Done()
+			for _, ph := range rd.stage {
+				if err := ph.run(k); err != nil {
+					rd.errs[k] = rd.fail(k, ph, err)
+					return
 				}
-			}(k)
+			}
+		})
+	}
+	for _, stage := range stages {
+		rd.stage = stage
+		rd.errs = append(rd.errs[:0], make([]error, len(rd.replicas))...)
+		rd.wg.Add(len(rd.replicas))
+		for k := range rd.replicas {
+			go rd.runners[k]()
 		}
 		rd.wg.Wait()
 		for _, err := range rd.errs {
@@ -272,8 +283,8 @@ type singleServerStepper struct {
 	robust bool
 }
 
-func newSingleServerStepper(c *Cluster, res *Result, rule string, robust bool, name string) *singleServerStepper {
-	st := &singleServerStepper{round: round{c: c, res: res, topology: name}, rule: rule, robust: robust}
+func newSingleServerStepper(c *Cluster, rule string, robust bool, name string) *singleServerStepper {
+	st := &singleServerStepper{round: round{c: c, topology: name}, rule: rule, robust: robust}
 	st.stages = [][]phase{{{"gradients", st.gradients}, {"update", st.update}}}
 	return st
 }
@@ -303,8 +314,8 @@ type crashStepper struct {
 	live   []int
 }
 
-func newCrashStepper(c *Cluster, res *Result) *crashStepper {
-	st := &crashStepper{round: round{c: c, res: res, topology: "crash-tolerant"}}
+func newCrashStepper(c *Cluster) *crashStepper {
+	st := &crashStepper{round: round{c: c, topology: "crash-tolerant"}}
 	st.stages = [][]phase{{{"gradients+update", st.average}}}
 	return st
 }
@@ -351,8 +362,8 @@ type msmwStepper struct {
 	stages, gradOnly [][]phase
 }
 
-func newMSMWStepper(c *Cluster, res *Result) *msmwStepper {
-	st := &msmwStepper{round: round{c: c, res: res, topology: "msmw"}}
+func newMSMWStepper(c *Cluster) *msmwStepper {
+	st := &msmwStepper{round: round{c: c, topology: "msmw"}}
 	all := []phase{{"gradients", st.gradients}, {"update", st.update}, {"models", st.models}, {"write", st.write}}
 	st.stages, st.gradOnly = [][]phase{all}, [][]phase{all[:2]}
 	return st
@@ -395,9 +406,9 @@ type decentralizedStepper struct {
 	honest []int
 }
 
-func newDecentralizedStepper(c *Cluster, res *Result) *decentralizedStepper {
+func newDecentralizedStepper(c *Cluster) *decentralizedStepper {
 	cfg := c.cfg
-	st := &decentralizedStepper{round: round{c: c, res: res, topology: "decentralized"}}
+	st := &decentralizedStepper{round: round{c: c, topology: "decentralized"}}
 	st.stages = [][]phase{{{"gradients", st.gradients}}}
 	if cfg.NonIID {
 		for step := 0; step < cfg.ContractSteps; step++ {

@@ -49,13 +49,13 @@ type Worker struct {
 	// lives — not in the transport.
 	comp *compress.Compressor
 
+	// mu guards the sampler, the momentum velocity and batch, the draw's
+	// scratch (valid only until Gradient returns). It is held across
+	// Gradient: the memo serializes a worker's computations anyway.
 	mu       sync.Mutex
 	sampler  *data.Sampler
 	velocity tensor.Vector
-	// batches is the free list of batch scratch: a request takes one for its
-	// draw and hands it back after Gradient. Per request, not per sampler —
-	// replicas pull one worker concurrently and mu is not held across Gradient.
-	batches []data.Batch
+	batch    data.Batch
 
 	// serveDelay is an injected per-request service delay in nanoseconds —
 	// a slow node (overloaded or under-provisioned worker) as opposed to a
@@ -65,29 +65,9 @@ type Worker struct {
 	serveDelay atomic.Int64
 	clock      Clock
 
-	// det enables deterministic replies: the worker computes one reply
-	// per step and serves it to every puller — the paper's semantics of a
-	// worker broadcasting its gradient estimate to all parameter servers —
-	// instead of drawing a fresh mini-batch per pull. detMu serializes the
-	// per-step computation so the sampler advances exactly once per step
-	// regardless of how many replicas pull concurrently.
-	det       bool
-	detMu     sync.Mutex
-	detStep   uint32
-	detHas    bool
-	detOK     bool
-	detReply  tensor.Vector
-	detParams tensor.Vector
-	// detPayloads caches the step's compressed replies alongside detReply,
-	// keyed by the pulled coordinate range ([0, d) for full pulls), so the
-	// error-feedback residual advances exactly once per (step, range)
-	// however many replicas pull — the property that keeps deterministic
-	// runs bit-identical under compression. Ranges within a step must be
-	// disjoint (the sharded protocol's are, by construction): top-k folds
-	// and updates only the pulled residual slice, so disjoint-range
-	// compressions commute, while overlapping ones would double-advance the
-	// shared coordinates.
-	detPayloads map[[2]uint32][]byte
+	// memo is the worker's one reply path: the estimate computed for one
+	// (step, params) is served to every puller of that key (see replyMemo).
+	memo replyMemo
 }
 
 var _ rpc.Handler = (*Worker)(nil)
@@ -116,15 +96,6 @@ func WithSelfEstimatedPeers(k int) WorkerOption {
 			return fmt.Errorf("%w: self-estimated peers %d < 1", ErrConfig, k)
 		}
 		w.selfPeers = k
-		return nil
-	}
-}
-
-// WithDeterministicReplies makes the worker serve one cached reply per
-// step; see Config.Deterministic.
-func WithDeterministicReplies() WorkerOption {
-	return func(w *Worker) error {
-		w.det = true
 		return nil
 	}
 }
@@ -190,6 +161,8 @@ func NewWorker(arch model.Model, shard *data.Dataset, batchSize int, seed uint64
 // enabled, the reply is the smoothed velocity v = mu*v + g. The caller owns
 // the result (model.Model.Gradient's borrowed vector).
 func (w *Worker) ComputeGradient(params tensor.Vector) (tensor.Vector, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	g, err := w.drawGradient(params)
 	if err != nil {
 		return nil, fmt.Errorf("core: worker gradient: %w", err)
@@ -197,8 +170,6 @@ func (w *Worker) ComputeGradient(params tensor.Vector) (tensor.Vector, error) {
 	if w.momentum == 0 {
 		return g, nil
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.velocity == nil || len(w.velocity) != len(g) {
 		w.velocity = tensor.New(len(g))
 	}
@@ -210,32 +181,29 @@ func (w *Worker) ComputeGradient(params tensor.Vector) (tensor.Vector, error) {
 }
 
 // drawGradient estimates the gradient at params on the sampler's next
-// mini-batch, drawn into a scratch batch that is the request's own until
-// Gradient returns (model.Model.Gradient reads a batch only during the call).
+// mini-batch, drawn into the worker's scratch batch. Callers hold mu.
 func (w *Worker) drawGradient(params tensor.Vector) (tensor.Vector, error) {
-	w.mu.Lock()
-	var batch data.Batch
-	if n := len(w.batches); n > 0 {
-		batch, w.batches = w.batches[n-1], w.batches[:n-1]
-	}
-	batch = w.sampler.Next(batch, w.batchSize)
-	w.mu.Unlock()
-	g, err := w.arch.Gradient(params, batch)
-	w.mu.Lock()
-	w.batches = append(w.batches, batch)
-	w.mu.Unlock()
-	return g, err
+	w.batch = w.sampler.Next(w.batch, w.batchSize)
+	return w.arch.Gradient(params, w.batch)
 }
 
 // attacked computes the worker's reply vector at params: the gradient
-// estimate, through the attack. The sample of self-estimated peers the attack
-// observed goes back to the vector pool; the caller owns the result.
+// estimate, through the attack. A collusion attack also observes selfPeers
+// self-estimated honest gradients, drawn from the worker's own shard and
+// released after Apply; the caller owns the result.
 func (w *Worker) attacked(params tensor.Vector) (tensor.Vector, bool) {
 	g, err := w.ComputeGradient(params)
 	if err != nil {
 		return nil, false
 	}
-	peers := w.estimatePeers(params)
+	w.mu.Lock()
+	var peers []tensor.Vector
+	for i := 0; i < w.selfPeers; i++ {
+		if p, err := w.drawGradient(params); err == nil {
+			peers = append(peers, p)
+		}
+	}
+	w.mu.Unlock()
 	out, ok := applyAttack(w.atk, g, peers)
 	for _, p := range peers {
 		tensor.PutVec(p)
@@ -254,23 +222,6 @@ func applyAttack(atk attack.Attack, v tensor.Vector, peers []tensor.Vector) (ten
 	return out, ok
 }
 
-// estimatePeers draws selfPeers extra gradients from the worker's own shard
-// so collusion attacks can observe a sample of the honest distribution.
-func (w *Worker) estimatePeers(params tensor.Vector) []tensor.Vector {
-	if w.selfPeers == 0 {
-		return nil
-	}
-	peers := make([]tensor.Vector, 0, w.selfPeers)
-	for i := 0; i < w.selfPeers; i++ {
-		g, err := w.drawGradient(params)
-		if err != nil {
-			continue
-		}
-		peers = append(peers, g)
-	}
-	return peers
-}
-
 // SetServeDelay makes every subsequent request to the worker take at least d
 // of service time — the slow-node fault of the async experiments. d = 0
 // clears the delay.
@@ -279,131 +230,44 @@ func (w *Worker) SetServeDelay(d time.Duration) {
 }
 
 // Handle implements rpc.Handler: it serves KindGetGradient requests and
-// declines everything else.
+// declines everything else. The first pull of a (step, params) key computes
+// the estimate, post-attack (a decline too), and every pull of the key gets
+// a copy of it: its [Lo, Hi) slice when ranged (sharded aggregation),
+// compressed when its Accept matches the worker's codec exactly, fp64
+// passthrough otherwise (the mixed-fleet fallback).
 func (w *Worker) Handle(req rpc.Request) rpc.Response {
 	if d := w.serveDelay.Load(); d > 0 {
 		w.clock.Sleep(time.Duration(d))
 	}
 	switch req.Kind {
 	case rpc.KindGetGradient:
-		if req.Vec == nil {
-			return rpc.Response{}
+		lo, hi := 0, len(req.Vec)
+		if req.Ranged() {
+			lo, hi = int(req.Lo), int(req.Hi)
 		}
-		if req.Ranged() && int(req.Hi) > len(req.Vec) {
+		if req.Vec == nil || hi > len(req.Vec) {
 			// A ranged pull's slice must fit the model the puller sent;
 			// anything else is a malformed or Byzantine request. Declining is
 			// the worker's only verdict — it holds no model state to
 			// re-bound the range against.
 			return rpc.Response{}
 		}
-		if w.det {
-			return w.handleDeterministic(req)
+		var comp *compress.Compressor
+		if w.comp != nil && req.Accept == w.comp.Encoding() {
+			comp = w.comp
 		}
-		out, ok := w.attacked(req.Vec)
-		if !ok {
-			return rpc.Response{} // gradient error or omission fault
+		m := &w.memo
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		if !m.lookup(req.Kind, req.Step, req.Vec) {
+			m.keep(w.attacked(req.Vec))
 		}
-		return w.reply(req, out)
+		return m.serve(comp, lo, hi)
 	case rpc.KindPing:
 		return rpc.Response{OK: true}
 	default:
 		return rpc.Response{}
 	}
-}
-
-// reply wraps a computed gradient into a response under the negotiated
-// payload encoding: compressed when the puller's Accept matches the
-// worker's codec exactly, fp64 passthrough otherwise (the mixed-fleet
-// fallback). A ranged request (sharded aggregation) receives only its
-// [Lo, Hi) slice — compressed per shard with a proportional top-k budget, or
-// sliced passthrough. reply owns vec, a borrowed vector: on the passthrough
-// path it travels in the response and the dispatcher releases it once the
-// frame is written (FreeVec); on the compressed path it is spent the moment
-// the payload exists and goes back to the pool here, while the payload —
-// borrowed from the shared buffer pool — takes the same trip (FreePayload).
-// A steady-state reply therefore allocates neither a vector nor a payload.
-// For top-k the call also advances the error-feedback residual — each pull is
-// a fresh gradient estimate in live mode, so each pull deposits its own
-// un-sent remainder (a ranged pull deposits only its slice's).
-func (w *Worker) reply(req rpc.Request, vec tensor.Vector) rpc.Response {
-	lo, hi := 0, len(vec)
-	if req.Ranged() {
-		lo, hi = int(req.Lo), int(req.Hi)
-	}
-	if w.comp == nil || req.Accept != w.comp.Encoding() {
-		if lo > 0 {
-			// The slice moves to the front so the release returns the whole
-			// backing array, not its tail.
-			copy(vec, vec[lo:hi])
-		}
-		return rpc.Response{OK: true, Vec: vec[:hi-lo], FreeVec: true}
-	}
-	buf := compress.GetBuf(w.comp.MaxEncodedSize(hi - lo))
-	payload := w.comp.CompressRange(buf, vec, lo, hi)
-	tensor.PutVec(vec)
-	return rpc.Response{OK: true, Enc: w.comp.Encoding(), Payload: payload, FreePayload: true}
-}
-
-// handleDeterministic serves gradient pulls in deterministic mode: the
-// first pull of a step computes the reply (post-attack, so stochastic
-// attacks also draw once per step) under detMu, and every later pull of the
-// same step receives the cached vector. The reply is computed at the first
-// puller's parameters; replicated deterministic runs keep their replicas in
-// lockstep (sync quorums plus the sequential round schedule), so every
-// puller carries identical parameters and the choice of "first" does not
-// matter.
-func (w *Worker) handleDeterministic(req rpc.Request) rpc.Response {
-	w.detMu.Lock()
-	defer w.detMu.Unlock()
-	// The cache matches on both the step and the puller's parameters:
-	// protocol segments (fault schedules, chunked runs) restart their
-	// step numbering, so a bare step match could replay a reply from a
-	// previous segment against evolved parameters.
-	if w.detHas && w.detStep == req.Step && req.Vec.Equal(w.detParams) {
-		if !w.detOK {
-			return rpc.Response{}
-		}
-		return w.detResponse(req)
-	}
-	w.detStep, w.detHas, w.detOK = req.Step, true, false
-	w.detReply, w.detParams, w.detPayloads = nil, req.Vec.Clone(), nil
-	out, ok := w.attacked(req.Vec)
-	if !ok {
-		return rpc.Response{} // gradient error or omission, replayed for the step
-	}
-	// The cached reply is shared by every puller of the step, so it is never
-	// given away (no FreeVec): the collector takes it once the step is over.
-	w.detOK, w.detReply = true, out
-	return w.detResponse(req)
-}
-
-// detResponse serves the step's cached reply under the puller's negotiated
-// encoding and coordinate range. Compressed payloads are produced lazily,
-// once per (step, range), into cached (non-pooled) buffers every puller of
-// that range shares: the error-feedback residual must advance once per
-// gradient estimate per range, not once per replica pull, or the run would
-// depend on pull arrival order. Callers hold detMu.
-func (w *Worker) detResponse(req rpc.Request) rpc.Response {
-	lo, hi := 0, len(w.detReply)
-	if req.Ranged() {
-		lo, hi = int(req.Lo), int(req.Hi)
-		if hi > len(w.detReply) {
-			return rpc.Response{}
-		}
-	}
-	if w.comp != nil && req.Accept == w.comp.Encoding() {
-		key := [2]uint32{uint32(lo), uint32(hi)}
-		p, ok := w.detPayloads[key]
-		if !ok {
-			p = w.comp.CompressRange(make([]byte, 0, w.comp.MaxEncodedSize(hi-lo)), w.detReply, lo, hi)
-			if w.detPayloads == nil {
-				w.detPayloads = make(map[[2]uint32][]byte)
-			}
-			w.detPayloads[key] = p
-		}
-		return rpc.Response{OK: true, Enc: w.comp.Encoding(), Payload: p}
-	}
-	return rpc.Response{OK: true, Vec: w.detReply[lo:hi]}
 }
 
 // ResetCompression clears the compressor's error-feedback residual (a no-op

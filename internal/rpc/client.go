@@ -39,6 +39,22 @@ type ReplySlots interface {
 	ReplySlot(i int) *tensor.Vector
 }
 
+// ReplyListOwner is implemented by ReplySlots that also own the list a
+// pull's replies are collected in: ReplyList(q) returns it emptied, with room
+// for q. The replies returned then alias it too, until the next pull.
+type ReplyListOwner interface {
+	ReplyList(q int) []Reply
+}
+
+// ReplyListFor returns the list a pull of quorum q collects its replies in:
+// the slots' own when they keep one, a fresh one otherwise.
+func ReplyListFor(slots ReplySlots, q int) []Reply {
+	if o, ok := slots.(ReplyListOwner); ok {
+		return o.ReplyList(q)
+	}
+	return make([]Reply, 0, q)
+}
+
 var (
 	// ErrQuorum is returned by PullFirstQ when fewer than q peers replied
 	// successfully before the context expired or all calls failed.
@@ -233,9 +249,9 @@ func (c *PooledClient) PullFirstQ(ctx context.Context, peers []string, q int, re
 // returned along with ErrQuorum.
 //
 // With non-nil slots (the fused decode path), peer i's reply decodes into
-// *slots.ReplySlot(i); the caller may reuse the slots for the next round the
-// moment this returns. A context without a deadline is bounded by
-// DefaultCallDeadline, once for the whole fan-out.
+// *slots.ReplySlot(i), the replies into ReplyListFor(slots, q); the caller
+// may reuse both the moment this returns. A context without a deadline is
+// bounded by DefaultCallDeadline, once for the whole fan-out.
 func (c *PooledClient) PullFirstQInto(ctx context.Context, peers []string, q int, req Request, slots ReplySlots) ([]Reply, error) {
 	if q <= 0 || q > len(peers) {
 		return nil, fmt.Errorf("rpc: invalid quorum %d of %d peers", q, len(peers))
@@ -248,7 +264,7 @@ func (c *PooledClient) PullFirstQInto(ctx context.Context, peers []string, q int
 	f := c.takeFanout()
 	f.seal(req)
 	f.start(ctx, peers, slots)
-	replies := make([]Reply, 0, q)
+	replies := ReplyListFor(slots, q)
 	failures := 0
 	defer func() {
 		if len(replies)+failures < len(peers) {

@@ -29,16 +29,17 @@
 // synchronous mode (wait for everyone); q < n tolerates n - q slow, crashed
 // or mute peers — the (q_w <= n_w) contract of the paper's communication
 // abstractions. Replies preserve arrival order (fastest first); protocol
-// code that needs a scheduling-independent order re-sorts them (see
-// core.Config.Deterministic).
+// code that needs a scheduling-independent order re-sorts them (core's
+// servers sort every pulled set by peer address, in every mode).
 //
 // PooledClient keeps one persistent connection per peer (Section 4.1's
 // channel reuse): steady-state pulls pay no dial, straggler cancellation
-// leaves a clean connection pooled with its reply drained by the next call,
-// and a connection that died while idle (peer restart, injected link fault)
-// is re-dialed transparently within one Call — pulls are idempotent reads,
-// so the retry is safe. A pull's request is encoded once into a frame the
-// client owns and shares across the peers, and each connection end owns its
-// read and write buffers (see fanout and frameReader), so the fixed cost of
-// a pull does not grow with the number of peers.
+// (which lets a request write finish) leaves a clean connection pooled with
+// its reply drained by the next call, and a connection that died while idle
+// (peer restart, injected link fault) is re-dialed transparently within one
+// Call — pulls are idempotent reads, so the retry is safe. A pull's request
+// is encoded once into a frame the client owns and shares across the peers,
+// and each connection end owns its read and write buffers (see fanout and
+// frameReader), so the fixed cost of a pull does not grow with the number of
+// peers.
 package rpc

@@ -238,3 +238,104 @@ func TestFirstQStragglerCancelReleasesFrame(t *testing.T) {
 		t.Fatalf("%d request frames arrived corrupted: a task was still writing the frame after its pull returned", n)
 	}
 }
+
+// gatedNetwork serves connections whose reads wait for gate: a peer that is
+// alive but has not yet read the request a client is writing to it.
+type gatedNetwork struct {
+	transport.Network
+	gate <-chan struct{}
+}
+
+func (n gatedNetwork) Listen(addr string) (net.Listener, error) {
+	l, err := n.Network.Listen(addr)
+	if err != nil {
+		return nil, err
+	}
+	return gatedListener{Listener: l, gate: n.gate}, nil
+}
+
+type gatedListener struct {
+	net.Listener
+	gate <-chan struct{}
+}
+
+func (l gatedListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return gatedConn{Conn: conn, gate: l.gate}, nil
+}
+
+type gatedConn struct {
+	net.Conn
+	gate <-chan struct{}
+}
+
+func (c gatedConn) Read(p []byte) (int, error) {
+	<-c.gate
+	return c.Conn.Read(p)
+}
+
+// TestStragglerCancelledMidWriteKeepsConnection: a straggler whose fan-out
+// reaches its quorum while the straggler is still writing its request (the
+// in-memory pipe blocks a write until the peer reads) finishes the write
+// rather than cutting the frame, so its connection stays pooled with one
+// reply owed: the next pull drains that reply, gets its own, and dials
+// nobody.
+func TestStragglerCancelledMidWriteKeepsConnection(t *testing.T) {
+	mem := transport.NewMem()
+	var fast []string
+	for _, addr := range []string{"fast0", "fast1"} {
+		// Slow enough that the straggler is blocked in its write by the time
+		// the quorum is in.
+		srv, err := Serve(mem, addr, HandlerFunc(func(Request) Response {
+			time.Sleep(10 * time.Millisecond)
+			return Response{OK: true, Vec: tensor.Vector{1}}
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		fast = append(fast, addr)
+	}
+	gate := make(chan struct{})
+	slow, err := Serve(gatedNetwork{Network: mem, gate: gate}, "slow", echoHandler())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer slow.Close()
+	peers := append(fast, "slow")
+
+	counting := &countingNetwork{Network: mem}
+	c := pooled(t, NewPooledClient(counting))
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	req := Request{Kind: KindGetGradient, Step: 1, Vec: tensor.Vector{7}}
+	opened := time.AfterFunc(50*time.Millisecond, func() { close(gate) })
+	defer opened.Stop()
+	replies, err := c.PullFirstQ(ctx, peers, 2, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range replies {
+		if r.From == "slow" {
+			t.Fatal("the gated straggler answered before its peer read the request")
+		}
+	}
+	dials := counting.dials.Load()
+
+	req.Step, req.Vec = 2, tensor.Vector{9}
+	replies, err = c.PullFirstQ(ctx, peers, 3, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range replies {
+		if r.From == "slow" && (len(r.Vec) != 1 || r.Vec[0] != 18) {
+			t.Fatalf("the straggler's next reply is %v, want the echo of its own request (18)", r.Vec)
+		}
+	}
+	if got := counting.dials.Load(); got != dials {
+		t.Fatalf("%d dials after the straggler's cancel, want none: its connection was torn down mid-request", got-dials)
+	}
+}

@@ -184,22 +184,34 @@ type pooledConn struct {
 	disarm chan struct{}
 }
 
+// armReq arms the watcher for one call: done cancels its read, hard its
+// write too — the same channel for a Call; for a pull task, whose fan-out
+// cancels it once the quorum is in, the caller's own context.
 type armReq struct {
-	ctx  context.Context
-	conn net.Conn
+	done, hard <-chan struct{}
+	conn       net.Conn
 }
 
 // watch is the per-peer cancellation watcher: for every armed call it either
-// observes ctx cancellation — poisoning that call's connection deadline to
-// unblock its I/O — or is disarmed when the call completes first. The
-// disarm handshake in both branches means the watcher is provably idle
+// observes the call's cancellation — poisoning that call's connection
+// deadline to unblock its I/O — or is disarmed when the call completes
+// first. A straggler cut at done still finishes writing its request to the
+// peer, which is reading it: a frame cut mid-write would cost the connection
+// and a re-dial, a whole one leaves only a reply owed on a clean stream. The
+// disarm handshake in every branch means the watcher is provably idle
 // between calls.
 func (pc *pooledConn) watch() {
 	for a := range pc.arm {
 		select {
-		case <-a.ctx.Done():
+		case <-a.done:
 			if pc.state.CompareAndSwap(callInFlight, callCancelled) {
-				_ = a.conn.SetDeadline(pastDeadline)
+				_ = a.conn.SetReadDeadline(pastDeadline)
+				select {
+				case <-a.hard:
+					_ = a.conn.SetWriteDeadline(pastDeadline)
+				case <-pc.disarm:
+					continue
+				}
 			}
 			<-pc.disarm
 		case <-pc.disarm:
@@ -458,7 +470,11 @@ func (c *PooledClient) callLocked(ctx context.Context, pc *pooledConn, addr stri
 	// stragglers just as this peer's reply lands): whichever side
 	// transitions first wins, and the loser does not touch the connection.
 	pc.state.Store(callInFlight)
-	pc.arm <- armReq{ctx: ctx, conn: pc.conn}
+	a := armReq{done: ctx.Done(), hard: ctx.Done(), conn: pc.conn}
+	if ctx == context.Context(f) {
+		a.hard = f.parent.Done() // a pull task: ctx is its fan-out
+	}
+	pc.arm <- a
 	defer pc.disarmCall()
 
 	fail := func(stage string, err error) (tensor.Vector, bool, error) {

@@ -26,10 +26,10 @@ type Handler interface {
 	// Response.Payload after Handle returns, until the reply has been
 	// written or copied out. Without FreeVec the handler keeps owning Vec:
 	// it must stay unmodified for that long, which in practice means a
-	// vector nobody writes again (a per-step cache replaced wholesale) or a
-	// fresh one left to the collector. With FreeVec the handler gives Vec
-	// away: it was borrowed from tensor.GetVec, nothing else references it,
-	// and the dispatcher releases it with tensor.PutVec after its last read.
+	// vector nobody writes again (a fixed stub reply) or a fresh one left to
+	// the collector. With FreeVec the handler gives Vec away: it was borrowed
+	// from tensor.GetVec, nothing else references it, and the dispatcher
+	// releases it with tensor.PutVec after its last read.
 	// FreePayload is the same transfer for Payload (compress.GetBuf /
 	// PutBuf). A handler that borrowed a vector and then declines the
 	// request releases it itself.

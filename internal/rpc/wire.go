@@ -131,8 +131,8 @@ type Response struct {
 	FreePayload bool
 	// FreeVec tells the serving loop that Vec was borrowed from
 	// tensor.GetVec and is the handler's to give away: the loop releases it
-	// once the frame is written. A handler serving a vector other requests
-	// may still read — a deterministic-mode per-step cache — leaves it false.
+	// once the frame is written. A handler serving a vector it keeps (a
+	// fixed stub reply) leaves it false.
 	FreeVec bool
 }
 

@@ -55,7 +55,7 @@ func (c *Caller) Call(ctx context.Context, addr string, req rpc.Request) (tensor
 	}
 	w.queue.Pop()
 	w.clock.AdvanceTo(ev.At)
-	return w.dispatchLocked(addr, req)
+	return w.dispatchLocked(addr, req, nil)
 }
 
 // PullFirstQ collects the first q successful replies in virtual-arrival
@@ -93,7 +93,7 @@ func (c *Caller) PullFirstQInto(ctx context.Context, peers []string, q int, req 
 			return nil, err
 		}
 	}
-	replies := make([]rpc.Reply, 0, q)
+	replies := rpc.ReplyListFor(slots, q)
 	failures := 0
 	var lastErr error
 	for {
@@ -107,7 +107,7 @@ func (c *Caller) PullFirstQInto(ctx context.Context, peers []string, q int, req 
 		if slots != nil {
 			dst = slots.ReplySlot(ev.Payload)
 		}
-		vec, err := w.dispatchLockedInto(peer, req, dst)
+		vec, err := w.dispatchLocked(peer, req, dst)
 		if err != nil {
 			failures++
 			lastErr = err
@@ -131,15 +131,10 @@ func (c *Caller) PullFirstQInto(ctx context.Context, peers []string, q int, req 
 }
 
 // dispatchLocked invokes the peer's handler at the current virtual time and
-// decodes its response under the live client's rules. Must hold w.mu.
-func (w *Wiring) dispatchLocked(addr string, req rpc.Request) (tensor.Vector, error) {
-	return w.dispatchLockedInto(addr, req, nil)
-}
-
-// dispatchLockedInto is dispatchLocked with an optional caller-owned decode
-// destination (the fused path): a non-nil dst receives the reply in place,
-// reusing its backing array across rounds. Must hold w.mu.
-func (w *Wiring) dispatchLockedInto(addr string, req rpc.Request, dst *tensor.Vector) (tensor.Vector, error) {
+// decodes its response under the live client's rules — into *dst when dst is
+// non-nil (the fused path), reusing its backing array across rounds. Must
+// hold w.mu.
+func (w *Wiring) dispatchLocked(addr string, req rpc.Request, dst *tensor.Vector) (tensor.Vector, error) {
 	w.calls++
 	h, ok := w.handlers[addr]
 	if !ok {
@@ -178,11 +173,9 @@ func (w *Wiring) dispatchLockedInto(addr string, req rpc.Request, dst *tensor.Ve
 		return nil, nil
 	}
 	// The live path serializes the reply, so the puller always owns a fresh
-	// vector. Direct dispatch must copy to preserve that: deterministic
-	// handlers serve one shared cached vector to every puller, and the GARs
-	// and staleness damping mutate pulled vectors in place. With a fused
-	// destination the copy lands in the slot's backing array instead of a
-	// fresh clone. Once copied, a vector the handler gave away (FreeVec) goes
+	// vector, which the GARs and staleness damping mutate in place; direct
+	// dispatch copies to preserve that — into the slot's backing array on the
+	// fused path. Once copied, a vector the handler gave away (FreeVec) goes
 	// back to the pool, as the serving loop does after writing the frame.
 	var out tensor.Vector
 	if dst != nil {
