@@ -17,9 +17,9 @@ import (
 // of protocols.go advance one iteration at a time, waiting for a full pull
 // round before every update; here the servers and workers are decoupled the
 // way the paper's asynchronous deployment mode describes: per-worker fetcher
-// loops keep pulling gradient estimates against whatever model state is
-// current, tag each estimate with the step its parameters came from, and
-// enqueue it. The server-side step loop aggregates as soon as a quorum
+// loops pull a gradient estimate against the current model state, tag it
+// with the step its parameters came from, enqueue it, and wait for the step
+// to move before pulling again. The server-side step loop aggregates as soon as a quorum
 // q = n_w - f_w of sufficiently fresh gradients is available — a straggler
 // or crashed worker delays nothing, it simply stops contributing.
 //
@@ -242,9 +242,7 @@ func (c *Cluster) asyncFetch(ctx context.Context, s *Server, queues *gradQueues,
 		}
 		backoff = time.Millisecond
 		queues.push(w, taggedGrad{vec: vec, step: step})
-		for ctx.Err() == nil && s.Step() == step {
-			c.clock.Sleep(50 * time.Microsecond)
-		}
+		s.awaitStep(ctx, step)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -322,4 +323,39 @@ func TestGradQueuesConcurrentStress(t *testing.T) {
 	}
 	close(done)
 	wg.Wait()
+}
+
+// TestAwaitStepBlocksUntilTheStepMoves locks the async fetcher's wait: it
+// returns at once when the step already moved, blocks while it has not, and
+// wakes on an update or on its context's cancellation.
+func TestAwaitStepBlocksUntilTheStepMoves(t *testing.T) {
+	s := newTestCluster(t, baseConfig(t)).Server(0)
+	step := s.Step()
+	s.awaitStep(context.Background(), step-1) // already moved: no wait
+
+	woke := make(chan struct{})
+	go func() { s.awaitStep(context.Background(), step); close(woke) }()
+	select {
+	case <-woke:
+		t.Fatal("awaitStep returned before the step moved")
+	case <-time.After(20 * time.Millisecond):
+	}
+	if err := s.UpdateModel(tensor.New(len(s.Params()))); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-woke:
+	case <-time.After(10 * time.Second):
+		t.Fatal("awaitStep missed the update")
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	woke = make(chan struct{})
+	go func() { s.awaitStep(ctx, step+1); close(woke) }()
+	cancel()
+	select {
+	case <-woke:
+	case <-time.After(10 * time.Second):
+		t.Fatal("awaitStep missed its context's cancellation")
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"garfield/internal/compress"
 	"garfield/internal/data"
@@ -91,6 +92,23 @@ func (m *ledgerModel) latestAt(params tensor.Vector) (tensor.Vector, bool) {
 	return nil, false
 }
 
+// heldModel holds every Gradient call at params at until gate closes,
+// announcing the first on entered.
+type heldModel struct {
+	model.Model
+	at            tensor.Vector
+	entered, gate chan struct{}
+	once          sync.Once
+}
+
+func (m *heldModel) Gradient(params tensor.Vector, batch data.Batch) (tensor.Vector, error) {
+	if sameBits(params, m.at) {
+		m.once.Do(func() { close(m.entered) })
+		<-m.gate
+	}
+	return m.Model.Gradient(params, batch)
+}
+
 // TestWorkerBroadcastsOneEstimatePerStep pins the worker's memo to the
 // paper's broadcast semantics — one estimate per (step, params), whoever
 // pulls it and in whatever order — and to an exact key. Run it under -race:
@@ -173,6 +191,47 @@ func TestWorkerBroadcastsOneEstimatePerStep(t *testing.T) {
 		}
 		served(t, m, base, a.Vec)
 		served(t, m, other, b.Vec)
+	})
+
+	t.Run("another key does not wait for a computing key", func(t *testing.T) {
+		m := &ledgerModel{Model: arch}
+		entered, gate := make(chan struct{}), make(chan struct{})
+		held := &heldModel{Model: m, at: base, entered: entered, gate: gate}
+		w, err := NewWorker(held, train, 8, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := rpc.Request{Kind: rpc.KindGetGradient, Step: 4, Vec: base}
+		got := make([]rpc.Response, 2)
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() { defer wg.Done(); got[0] = w.Handle(req) }()
+		<-entered // the first pull of base is computing, and held there
+		wg.Add(1)
+		go func() { defer wg.Done(); got[1] = w.Handle(req) }()
+		other := base.Clone()
+		other[0] += 0.25
+		done := make(chan rpc.Response, 1)
+		go func() { done <- w.Handle(rpc.Request{Kind: rpc.KindGetGradient, Step: 4, Vec: other}) }()
+		select {
+		case b := <-done:
+			if !b.OK {
+				t.Fatal("the pull of another key was declined")
+			}
+			served(t, m, other, b.Vec)
+		case <-time.After(10 * time.Second):
+			close(gate)
+			t.Fatal("the pull of another key waited for the held key's computation")
+		}
+		close(gate)
+		wg.Wait()
+		if !got[0].OK || !got[1].OK || !sameBits(got[0].Vec, got[1].Vec) {
+			t.Fatal("two pullers of the held key were not served one estimate")
+		}
+		served(t, m, base, got[0].Vec)
+		if n := m.calls(); n != 2 {
+			t.Fatalf("pulls of two keys drew %d estimates, want 2", n)
+		}
 	})
 
 	t.Run("a crafted key is never served another's estimate", func(t *testing.T) {

@@ -103,7 +103,7 @@ func (s *Server) LoadCheckpoint(r io.Reader) error {
 	}
 	s.mu.Lock()
 	s.params = params
-	s.currentStep = step
+	s.setStepLocked(step)
 	s.opt.ResetTo(int(step))
 	s.mu.Unlock()
 	s.ResetDerived()

@@ -15,3 +15,12 @@ func (ac *aggCache) peek(slot int) *Aggregator {
 	}
 	return nil
 }
+
+// compressionResidualNorm exposes the pending error-feedback residual to
+// tests (0 without compression).
+func (w *Worker) compressionResidualNorm() float64 {
+	if w.comp == nil {
+		return 0
+	}
+	return w.comp.ResidualNorm()
+}

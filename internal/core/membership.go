@@ -499,7 +499,7 @@ func (c *Cluster) highestActive(active []bool, n int, kind string) ([]int, error
 
 // RecoverServer clears a crash of server replica i and fully resets the
 // replica's derived state — the published aggregated gradient and the
-// deterministic reply cache — plus every active worker's compression
+// reply memo — plus every active worker's compression
 // error-feedback residual, the same derived-state contract checkpoint
 // restore honours. Without the reset, the recovered replica would serve
 // vectors from the pre-crash timeline and the residuals would replay

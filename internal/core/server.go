@@ -41,7 +41,7 @@ type Server struct {
 	// because a server issues pulls one at a time and every protocol step
 	// aggregates a pull's replies — into the Aggregator's own scratch, which
 	// never aliases its inputs — before issuing the next pull.
-	arena pullArena
+	arena *gar.ReplyArena
 
 	// rosterMu guards the pull target lists, which the membership layer
 	// rebinds on every roster epoch transition (Cluster join/leave/scale).
@@ -63,6 +63,10 @@ type Server struct {
 	params      tensor.Vector
 	latestAggr  tensor.Vector
 	currentStep uint32
+	// stepped, when non-nil, is closed at the next step change (setStepLocked)
+	// — made only while someone waits on it (awaitStep), so lockstep rounds
+	// allocate no channel.
+	stepped chan struct{}
 
 	// reqVec is the model snapshot a gradient pull carries (the pull model
 	// folds model dissemination into the request), reused across rounds. One
@@ -87,18 +91,6 @@ type Server struct {
 	// reused across rounds (SetShardPart copies in place).
 	partMu sync.RWMutex
 	parts  map[uint16]*shardPart
-}
-
-// pullArena is a server's pull destinations: the per-peer reply vectors and
-// the reply list (rpc.ReplyListOwner), both reused from pull to pull.
-type pullArena struct {
-	*gar.ReplyArena
-	replies []rpc.Reply
-}
-
-func (a *pullArena) ReplyList(q int) []rpc.Reply {
-	a.replies = slices.Grow(a.replies[:0], q)
-	return a.replies
 }
 
 // shardPart is one owned aggregated part: the round it belongs to and its
@@ -157,7 +149,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		atk:     atk,
 		accept:  cfg.Accept,
 		params:  cfg.Init.Clone(),
-		arena:   pullArena{ReplyArena: gar.NewReplyArena(n)},
+		arena:   gar.NewReplyArena(n),
 	}, nil
 }
 
@@ -247,11 +239,39 @@ func (s *Server) AdoptState(params tensor.Vector, step uint32) error {
 	}
 	s.mu.Lock()
 	copy(s.params, params)
-	s.currentStep = step
+	s.setStepLocked(step)
 	s.opt.ResetTo(int(step))
 	s.mu.Unlock()
 	s.ResetDerived()
 	return nil
+}
+
+// setStepLocked moves the step counter and wakes every awaitStep. Callers
+// hold mu.
+func (s *Server) setStepLocked(step uint32) {
+	s.currentStep = step
+	if s.stepped != nil {
+		close(s.stepped)
+		s.stepped = nil
+	}
+}
+
+// awaitStep blocks until the step counter differs from step or ctx is done.
+func (s *Server) awaitStep(ctx context.Context, step uint32) {
+	s.mu.Lock()
+	if s.currentStep != step {
+		s.mu.Unlock()
+		return
+	}
+	if s.stepped == nil {
+		s.stepped = make(chan struct{})
+	}
+	stepped := s.stepped
+	s.mu.Unlock()
+	select {
+	case <-stepped:
+	case <-ctx.Done():
+	}
 }
 
 // pullReq is one quorum pull: the request, the peers it fans out to, and the
@@ -269,7 +289,7 @@ type pullReq struct {
 // pull runs one quorum pull and returns the fastest q reply vectors, decoded
 // into the server's arena (they and the list are valid until its next pull).
 func (s *Server) pull(ctx context.Context, p pullReq) ([]tensor.Vector, error) {
-	replies, err := s.client.PullFirstQInto(ctx, p.peers, p.q, p.req, &s.arena)
+	replies, err := s.client.PullFirstQInto(ctx, p.peers, p.q, p.req, s.arena)
 	if err != nil {
 		return nil, fmt.Errorf("core: %s(step=%d, q=%d of %d): %w", p.what, p.req.Step, p.q, len(p.peers), err)
 	}
@@ -373,7 +393,7 @@ func (s *Server) UpdateModel(aggrGrad tensor.Vector) error {
 	if err := s.opt.Apply(s.params, aggrGrad); err != nil {
 		return fmt.Errorf("core: update_model: %w", err)
 	}
-	s.currentStep++
+	s.setStepLocked(s.currentStep + 1)
 	return nil
 }
 
@@ -506,13 +526,12 @@ func (s *Server) serveVector(req rpc.Request, v tensor.Vector) rpc.Response {
 	if _, honest := s.atk.(attack.None); honest {
 		return rpc.Response{OK: true, Vec: v, FreeVec: true}
 	}
-	m := &s.memo
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.lookup(req.Kind, req.Step, v) {
+	n := len(v)
+	resp, e := s.memo.acquire(req.Kind, req.Step, v, nil, 0, n)
+	if e == nil {
 		tensor.PutVec(v)
-	} else {
-		m.keep(applyAttack(s.atk, v, nil))
+		return resp
 	}
-	return m.serve(nil, 0, len(m.vec))
+	out, ok := applyAttack(s.atk, v, nil)
+	return s.memo.fill(e, out, ok, nil, 0, n)
 }

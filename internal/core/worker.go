@@ -49,13 +49,14 @@ type Worker struct {
 	// lives — not in the transport.
 	comp *compress.Compressor
 
-	// mu guards the sampler, the momentum velocity and batch, the draw's
-	// scratch (valid only until Gradient returns). It is held across
-	// Gradient: the memo serializes a worker's computations anyway.
 	mu       sync.Mutex
 	sampler  *data.Sampler
 	velocity tensor.Vector
-	batch    data.Batch
+	// batches is the free list of batch scratch: a request takes one for its
+	// draw and hands it back after Gradient. Per request, not per sampler —
+	// pulls of different keys compute concurrently and mu is not held across
+	// Gradient.
+	batches []data.Batch
 
 	// serveDelay is an injected per-request service delay in nanoseconds —
 	// a slow node (overloaded or under-provisioned worker) as opposed to a
@@ -161,8 +162,6 @@ func NewWorker(arch model.Model, shard *data.Dataset, batchSize int, seed uint64
 // enabled, the reply is the smoothed velocity v = mu*v + g. The caller owns
 // the result (model.Model.Gradient's borrowed vector).
 func (w *Worker) ComputeGradient(params tensor.Vector) (tensor.Vector, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	g, err := w.drawGradient(params)
 	if err != nil {
 		return nil, fmt.Errorf("core: worker gradient: %w", err)
@@ -170,6 +169,8 @@ func (w *Worker) ComputeGradient(params tensor.Vector) (tensor.Vector, error) {
 	if w.momentum == 0 {
 		return g, nil
 	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.velocity == nil || len(w.velocity) != len(g) {
 		w.velocity = tensor.New(len(g))
 	}
@@ -181,10 +182,21 @@ func (w *Worker) ComputeGradient(params tensor.Vector) (tensor.Vector, error) {
 }
 
 // drawGradient estimates the gradient at params on the sampler's next
-// mini-batch, drawn into the worker's scratch batch. Callers hold mu.
+// mini-batch, drawn into a scratch batch that is the request's own until
+// Gradient returns (model.Model.Gradient reads a batch only during the call).
 func (w *Worker) drawGradient(params tensor.Vector) (tensor.Vector, error) {
-	w.batch = w.sampler.Next(w.batch, w.batchSize)
-	return w.arch.Gradient(params, w.batch)
+	w.mu.Lock()
+	var batch data.Batch
+	if n := len(w.batches); n > 0 {
+		batch, w.batches = w.batches[n-1], w.batches[:n-1]
+	}
+	batch = w.sampler.Next(batch, w.batchSize)
+	w.mu.Unlock()
+	g, err := w.arch.Gradient(params, batch)
+	w.mu.Lock()
+	w.batches = append(w.batches, batch)
+	w.mu.Unlock()
+	return g, err
 }
 
 // attacked computes the worker's reply vector at params: the gradient
@@ -196,14 +208,12 @@ func (w *Worker) attacked(params tensor.Vector) (tensor.Vector, bool) {
 	if err != nil {
 		return nil, false
 	}
-	w.mu.Lock()
 	var peers []tensor.Vector
 	for i := 0; i < w.selfPeers; i++ {
 		if p, err := w.drawGradient(params); err == nil {
 			peers = append(peers, p)
 		}
 	}
-	w.mu.Unlock()
 	out, ok := applyAttack(w.atk, g, peers)
 	for _, p := range peers {
 		tensor.PutVec(p)
@@ -256,13 +266,12 @@ func (w *Worker) Handle(req rpc.Request) rpc.Response {
 		if w.comp != nil && req.Accept == w.comp.Encoding() {
 			comp = w.comp
 		}
-		m := &w.memo
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		if !m.lookup(req.Kind, req.Step, req.Vec) {
-			m.keep(w.attacked(req.Vec))
+		resp, e := w.memo.acquire(req.Kind, req.Step, req.Vec, comp, lo, hi)
+		if e == nil {
+			return resp
 		}
-		return m.serve(comp, lo, hi)
+		vec, ok := w.attacked(req.Vec)
+		return w.memo.fill(e, vec, ok, comp, lo, hi)
 	case rpc.KindPing:
 		return rpc.Response{OK: true}
 	default:
@@ -278,13 +287,4 @@ func (w *Worker) ResetCompression() {
 	if w.comp != nil {
 		w.comp.Reset()
 	}
-}
-
-// compressionResidualNorm exposes the pending error-feedback residual to
-// tests (0 without compression).
-func (w *Worker) compressionResidualNorm() float64 {
-	if w.comp == nil {
-		return 0
-	}
-	return w.comp.ResidualNorm()
 }

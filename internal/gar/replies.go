@@ -1,16 +1,22 @@
 package gar
 
-import "garfield/internal/tensor"
+import (
+	"slices"
+
+	"garfield/internal/rpc"
+	"garfield/internal/tensor"
+)
 
 // ReplyArena owns the decode destinations for a pull round: slot i is where
 // peer i's reply vector materializes, and the slots keep their backing
 // arrays across rounds, so the steady state of a training loop decodes every
 // compressed reply with zero allocations — the fused decode-aggregate path.
-// It satisfies rpc.ReplySlots (kept implicit to avoid a gar->rpc import).
+// It also keeps the list a pull's replies are collected in. It implements
+// rpc.ReplySlots.
 //
-// Ownership contract: the vectors returned from a pull against the arena
-// alias the slots and stay valid only until the next pull against the same
-// arena. That fits every Garfield protocol step, which aggregates each
+// Ownership contract: the reply list and the vectors returned from a pull
+// against the arena alias the arena and stay valid only until the next pull
+// against the same arena. That fits every Garfield protocol step, which aggregates each
 // pull's replies (the aggregate is written to the Rule's own scratch, never
 // aliasing the inputs — see arena.computeDistances releasing its refs)
 // before issuing the next pull on the same server.
@@ -21,7 +27,8 @@ type ReplyArena struct {
 	// Pointer-per-slot, not a flat []tensor.Vector: ReplySlot hands out
 	// *tensor.Vector before the pull's goroutines spawn, and a later growth
 	// of the slot table must not invalidate pointers already handed out.
-	slots []*tensor.Vector
+	slots   []*tensor.Vector
+	replies []rpc.Reply
 }
 
 // NewReplyArena returns an arena pre-sized for n peers; it grows on demand
@@ -40,6 +47,13 @@ func (a *ReplyArena) ReplySlot(i int) *tensor.Vector {
 		a.grow(i + 1)
 	}
 	return a.slots[i]
+}
+
+// ReplyList returns the arena's reply list emptied, with room for q.
+// Implements rpc.ReplySlots.
+func (a *ReplyArena) ReplyList(q int) []rpc.Reply {
+	a.replies = slices.Grow(a.replies[:0], q)
+	return a.replies
 }
 
 func (a *ReplyArena) grow(n int) {

@@ -21,38 +21,26 @@ type Caller interface {
 	// PullFirstQ fans req out to every peer and returns the fastest q
 	// replies, cancelling the stragglers.
 	PullFirstQ(ctx context.Context, peers []string, q int, req Request) ([]Reply, error)
-	// PullFirstQInto is PullFirstQ with caller-owned decode destinations:
-	// peer i's reply decodes directly into *slots.ReplySlot(i), reusing its
-	// capacity, instead of allocating a fresh vector per reply — the fused
-	// decode-aggregate path (gar.ReplyArena implements ReplySlots). The
-	// returned Reply.Vec values alias the slots and are valid until the next
-	// pull against the same slots; a nil slots degrades to PullFirstQ.
+	// PullFirstQInto is PullFirstQ with caller-owned destinations: peer i's
+	// reply decodes directly into *slots.ReplySlot(i), reusing its capacity,
+	// instead of allocating a fresh vector per reply — the fused
+	// decode-aggregate path (gar.ReplyArena implements ReplySlots) — and the
+	// replies are collected in slots.ReplyList(q). The returned list and its
+	// Reply.Vec values alias the slots and are valid until the next pull
+	// against the same slots; a nil slots degrades to PullFirstQ.
 	PullFirstQInto(ctx context.Context, peers []string, q int, req Request, slots ReplySlots) ([]Reply, error)
 }
 
-// ReplySlots provides per-peer decode destinations for a pull round. Slot i
-// is resolved once, sequentially, before the fan-out spawns its goroutines —
+// ReplySlots provides a pull round's destinations: per-peer decode
+// destinations and the list the replies are collected in. Slot i is resolved
+// once, sequentially, before the fan-out spawns its goroutines —
 // implementations may grow backing storage inside ReplySlot but the returned
 // pointers must stay valid afterwards (each pull goroutine writes only
-// through its own resolved pointer).
+// through its own resolved pointer). ReplyList(q) returns the reply list
+// emptied, with room for q, once per pull.
 type ReplySlots interface {
 	ReplySlot(i int) *tensor.Vector
-}
-
-// ReplyListOwner is implemented by ReplySlots that also own the list a
-// pull's replies are collected in: ReplyList(q) returns it emptied, with room
-// for q. The replies returned then alias it too, until the next pull.
-type ReplyListOwner interface {
 	ReplyList(q int) []Reply
-}
-
-// ReplyListFor returns the list a pull of quorum q collects its replies in:
-// the slots' own when they keep one, a fresh one otherwise.
-func ReplyListFor(slots ReplySlots, q int) []Reply {
-	if o, ok := slots.(ReplyListOwner); ok {
-		return o.ReplyList(q)
-	}
-	return make([]Reply, 0, q)
 }
 
 var (
@@ -249,7 +237,7 @@ func (c *PooledClient) PullFirstQ(ctx context.Context, peers []string, q int, re
 // returned along with ErrQuorum.
 //
 // With non-nil slots (the fused decode path), peer i's reply decodes into
-// *slots.ReplySlot(i), the replies into ReplyListFor(slots, q); the caller
+// *slots.ReplySlot(i), the replies into slots.ReplyList(q); the caller
 // may reuse both the moment this returns. A context without a deadline is
 // bounded by DefaultCallDeadline, once for the whole fan-out.
 func (c *PooledClient) PullFirstQInto(ctx context.Context, peers []string, q int, req Request, slots ReplySlots) ([]Reply, error) {
@@ -264,7 +252,10 @@ func (c *PooledClient) PullFirstQInto(ctx context.Context, peers []string, q int
 	f := c.takeFanout()
 	f.seal(req)
 	f.start(ctx, peers, slots)
-	replies := ReplyListFor(slots, q)
+	var replies []Reply // a nil slots' grows as replies arrive
+	if slots != nil {
+		replies = slots.ReplyList(q)
+	}
 	failures := 0
 	defer func() {
 		if len(replies)+failures < len(peers) {

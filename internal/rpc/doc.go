@@ -34,8 +34,9 @@
 //
 // PooledClient keeps one persistent connection per peer (Section 4.1's
 // channel reuse): steady-state pulls pay no dial, straggler cancellation
-// (which lets a request write finish) leaves a clean connection pooled with
-// its reply drained by the next call, and a connection that died while idle
+// cuts a request write the peer has not started reading and leaves that
+// clean connection pooled, or one whose request went out whole with its reply
+// drained by the next call, and a connection that died while idle
 // (peer restart, injected link fault) is re-dialed transparently within one
 // Call — pulls are idempotent reads, so the retry is safe. A pull's request
 // is encoded once into a frame the client owns and shares across the peers,

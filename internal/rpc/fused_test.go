@@ -2,18 +2,31 @@ package rpc
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"time"
 
 	"garfield/internal/compress"
-	"garfield/internal/gar"
 	"garfield/internal/tensor"
 	"garfield/internal/transport"
 )
 
-// The protocol layer hands gar.ReplyArena to PullFirstQInto; keep the
-// interface satisfaction pinned here, next to the contract it serves.
-var _ ReplySlots = (*gar.ReplyArena)(nil)
+// testArena is this package's ReplySlots, a fixed-size stand-in for
+// gar.ReplyArena (which imports rpc): one reused decode destination per peer
+// and one reused reply list.
+type testArena struct {
+	slots   []tensor.Vector
+	replies []Reply
+}
+
+func newTestArena(n int) *testArena { return &testArena{slots: make([]tensor.Vector, n)} }
+
+func (a *testArena) ReplySlot(i int) *tensor.Vector { return &a.slots[i] }
+
+func (a *testArena) ReplyList(q int) []Reply {
+	a.replies = slices.Grow(a.replies[:0], q)
+	return a.replies
+}
 
 // TestDecodeResponseIntoReusesDestination locks the heart of the fused
 // decode path: with a warm destination, decoding a reply — compressed or
@@ -87,7 +100,7 @@ func TestPullFirstQIntoReusesSlots(t *testing.T) {
 	c := NewPooledClient(net)
 	defer c.Close()
 
-	arena := gar.NewReplyArena(len(peers))
+	arena := newTestArena(len(peers))
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	req := Request{Kind: KindGetModel, Accept: compress.EncInt8}

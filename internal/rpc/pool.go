@@ -34,9 +34,10 @@ import (
 // cancelled call poisons the connection's I/O deadline to unblock itself,
 // and when the request had been fully written and no byte of the reply
 // consumed, the connection survives — the late reply is owed on the wire and
-// drained by the next call to that peer, so steady-state straggler
-// cancellation causes no re-dial churn. Only a cancellation that interrupts
-// mid-frame tears the connection down (it is re-dialed lazily).
+// drained by the next call to that peer; a cancelled request write the peer
+// took no byte of leaves the stream clean and owes nothing. So steady-state
+// straggler cancellation causes no re-dial churn. Only a cancellation that
+// interrupts mid-frame tears the connection down (it is re-dialed lazily).
 type PooledClient struct {
 	network transport.Network
 	self    string
@@ -184,34 +185,22 @@ type pooledConn struct {
 	disarm chan struct{}
 }
 
-// armReq arms the watcher for one call: done cancels its read, hard its
-// write too — the same channel for a Call; for a pull task, whose fan-out
-// cancels it once the quorum is in, the caller's own context.
 type armReq struct {
-	done, hard <-chan struct{}
-	conn       net.Conn
+	ctx  context.Context
+	conn net.Conn
 }
 
 // watch is the per-peer cancellation watcher: for every armed call it either
-// observes the call's cancellation — poisoning that call's connection
-// deadline to unblock its I/O — or is disarmed when the call completes
-// first. A straggler cut at done still finishes writing its request to the
-// peer, which is reading it: a frame cut mid-write would cost the connection
-// and a re-dial, a whole one leaves only a reply owed on a clean stream. The
-// disarm handshake in every branch means the watcher is provably idle
+// observes ctx cancellation — poisoning that call's connection deadline to
+// unblock its I/O — or is disarmed when the call completes first. The
+// disarm handshake in both branches means the watcher is provably idle
 // between calls.
 func (pc *pooledConn) watch() {
 	for a := range pc.arm {
 		select {
-		case <-a.done:
+		case <-a.ctx.Done():
 			if pc.state.CompareAndSwap(callInFlight, callCancelled) {
-				_ = a.conn.SetReadDeadline(pastDeadline)
-				select {
-				case <-a.hard:
-					_ = a.conn.SetWriteDeadline(pastDeadline)
-				case <-pc.disarm:
-					continue
-				}
+				_ = a.conn.SetDeadline(pastDeadline)
 			}
 			<-pc.disarm
 		case <-pc.disarm:
@@ -470,11 +459,7 @@ func (c *PooledClient) callLocked(ctx context.Context, pc *pooledConn, addr stri
 	// stragglers just as this peer's reply lands): whichever side
 	// transitions first wins, and the loser does not touch the connection.
 	pc.state.Store(callInFlight)
-	a := armReq{done: ctx.Done(), hard: ctx.Done(), conn: pc.conn}
-	if ctx == context.Context(f) {
-		a.hard = f.parent.Done() // a pull task: ctx is its fan-out
-	}
-	pc.arm <- a
+	pc.arm <- armReq{ctx: ctx, conn: pc.conn}
 	defer pc.disarmCall()
 
 	fail := func(stage string, err error) (tensor.Vector, bool, error) {
@@ -506,7 +491,12 @@ func (c *PooledClient) callLocked(ctx context.Context, pc *pooledConn, addr stri
 
 	c.calls.Add(1)
 	c.bytesOut.Add(uint64(len(f.frame)))
-	if _, err := pc.conn.Write(f.frame); err != nil {
+	if n, err := pc.conn.Write(f.frame); err != nil {
+		if n == 0 && pc.state.Load() == callCancelled {
+			// Cancelled before the peer took a byte of the request: the
+			// stream is clean and owes nothing, so the connection stays.
+			return nil, false, wrapCtx(ctx, err)
+		}
 		// A failed or interrupted write leaves the request stream in an
 		// unknown state; the connection cannot be reused.
 		return fail("send to", err)

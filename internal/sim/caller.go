@@ -93,7 +93,10 @@ func (c *Caller) PullFirstQInto(ctx context.Context, peers []string, q int, req 
 			return nil, err
 		}
 	}
-	replies := rpc.ReplyListFor(slots, q)
+	var replies []rpc.Reply // a nil slots' grows as replies arrive
+	if slots != nil {
+		replies = slots.ReplyList(q)
+	}
 	failures := 0
 	var lastErr error
 	for {
